@@ -21,7 +21,7 @@ from .morphisms import (Derivation, Endomorphism, Unit, exponentiate,
                         inner_automorphism, invert_unit, make_derivation,
                         membership, graded_part, verify_endomorphism)
 from .polymat import (Poly, PolyMatrix, SmithFactorization, modified_smith,
-                      poly_matrix_inverse, embed_in_matrix_ring, matrix_ring_preimage)
+                      poly_matrix_inverse)
 from .quiver import (AlgebraPresentation, Path, Quiver, RelationSet,
                      parse_quiver, validate_presentation)
 

@@ -12,7 +12,8 @@ import re
 from fractions import Fraction
 
 from .errors import BoundExceededError, ElementFormatError, InvalidPresentationError
-from .quiver import Path, surviving_cycles, unique_continuation, unique_predecessor
+from .quiver import (Path, _format_sum, _parse_coeff, _signed_terms, surviving_cycles,
+                     unique_continuation, unique_predecessor)
 
 
 class Element:
@@ -272,85 +273,41 @@ class PathAlgebra:
 #
 # `c1*p1 + c2*p2 + ...` with rational coefficients `p/q`, paths written as
 # `e_<vertex>` or `.`-joined arrow names.  A bare constant denotes that
-# multiple of the identity.  Round-trips exactly through parse_element.
-
-# coefficients and paths never contain interior +/- so top-level signs
-# always separate terms
-_TERM_SPLIT = re.compile(r"([+-])")
+# multiple of the identity.  Round-trips exactly through parse_element; the
+# sums and coefficients follow the shared grammar in quiver.py.
 
 
 def format_element(x):
-    if x.is_zero:
-        return "0"
     terms = x.sorted_terms()
     vertices = x.algebra.quiver.vertices
-    unit_coeff = None
     stationary = {p.vertex: c for p, c in terms if p.is_stationary}
-    if len(stationary) == len(vertices) and len(set(stationary.values())) == 1:
-        unit_coeff = next(iter(stationary.values()))
-        terms = [(p, c) for p, c in terms if not p.is_stationary]
     pieces = []
-    if unit_coeff is not None:
-        pieces.append(_format_coeff(unit_coeff))
-    for p, c in terms:
-        body = f"{_format_coeff(abs(c))}*{p}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out += " " + piece
-    return out
-
-
-def _format_coeff(c):
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    if len(stationary) == len(vertices) and len(set(stationary.values())) == 1:
+        pieces.append((next(iter(stationary.values())), ""))
+        terms = [(p, c) for p, c in terms if not p.is_stationary]
+    pieces += [(c, f"*{p}") for p, c in terms]
+    return _format_sum(pieces)
 
 
 def parse_element(algebra, text):
-    text = text.strip()
-    if not text:
-        raise ElementFormatError("empty element expression")
-    if text == "0":
-        return algebra.zero()
-    chunks = []
-    sign = 1
-    buf = ""
-    for piece in _TERM_SPLIT.split(text):
-        if piece == "+" or piece == "-":
-            if buf.strip():
-                chunks.append((sign, buf.strip()))
-            sign = 1 if piece == "+" else -1
-            buf = ""
-        else:
-            buf += piece
-    if buf.strip():
-        chunks.append((sign, buf.strip()))
     result = algebra.zero()
-    for sgn, chunk in chunks:
-        result = result + _parse_term(algebra, chunk).scale(sgn)
+    for sign, term in _signed_terms(text, ElementFormatError):
+        result = result + _parse_term(algebra, term).scale(sign)
     return result
 
 
-def _parse_term(algebra, chunk):
-    if chunk.startswith("-"):
-        return _parse_term(algebra, chunk[1:].strip()).scale(-1)
-    if "*" in chunk:
-        coeff_text, path_text = chunk.split("*", 1)
-        coeff = _parse_coeff(coeff_text.strip())
-        return _parse_path(algebra, path_text.strip()).scale(coeff)
+def _parse_term(algebra, term):
+    if "*" in term:
+        coeff_text, path_text = (t.strip() for t in term.split("*", 1))
+        coeff = _parse_coeff(coeff_text)
+        if coeff is None:
+            raise ElementFormatError(f"bad coefficient {coeff_text!r}")
+        return _parse_path(algebra, path_text).scale(coeff)
     # bare constant (multiple of the identity) or bare path
-    if re.fullmatch(r"\d+(/\d+)?", chunk):
-        return algebra.one().scale(_parse_coeff(chunk))
-    return _parse_path(algebra, chunk)
-
-
-def _parse_coeff(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ElementFormatError(f"bad coefficient {text!r}") from exc
+    coeff = _parse_coeff(term)
+    if coeff is not None:
+        return algebra.one().scale(coeff)
+    return _parse_path(algebra, term)
 
 
 def _parse_path(algebra, text):
@@ -363,7 +320,7 @@ def _parse_path(algebra, text):
     if names is None:
         if text in algebra.quiver.arrow_by_name:
             names = [text]
-        elif all(ch in algebra.quiver.arrow_by_name for ch in text):
+        elif text and all(ch in algebra.quiver.arrow_by_name for ch in text):
             names = list(text)  # juxtaposed single-character arrow names
         else:
             raise ElementFormatError(f"unknown path {text!r}")

@@ -9,15 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .algebra import PathAlgebra, format_element
 from .decompose import decompose_general, outer_class
 from .errors import (BoundExceededError, CapExceededError, CertificationError,
-                     DecompositionError, DerivationError, ElementFormatError,
-                     InvalidPresentationError, MatrixFormatError, NotAUnitError,
-                     NotInImageError, NotInvertibleError, QuiverFormatError,
-                     ShapeError, StringAlgError)
+                     DecompositionError, DerivationError, NotAUnitError,
+                     NotInImageError, NotInvertibleError, StringAlgError)
 from .maximal import classify_maximal, degree_zero_center_dimension, radical_basis
 from .morphisms import (exponentiate, format_endomorphism, inner_automorphism,
                         invert_unit, parse_derivation, parse_endomorphism,
@@ -30,25 +27,22 @@ INVALID_INPUT = 2
 CERTIFICATION_FAILURE = 3
 CAP_EXHAUSTED = 4
 
-_INVALID = (QuiverFormatError, ElementFormatError, MatrixFormatError,
-            InvalidPresentationError, ShapeError)
 _CERT = (CertificationError, DerivationError, NotAUnitError, NotInImageError,
          NotInvertibleError, DecompositionError)
 _CAPS = (BoundExceededError, CapExceededError)
+# every other library error, an unreadable file and one that is not UTF-8
+_INVALID = (StringAlgError, OSError, UnicodeDecodeError)
 
 
-@dataclass
-class Config:
-    max_path_length: int = 64
-    nilpotency_cap: int = 0        # 0 means derive from the presentation
-    conjugation_degree_cap: int = 32
-    verbosity: int = 0
-
-    def __post_init__(self):
-        if self.max_path_length <= 0 or self.conjugation_degree_cap <= 0:
-            raise ValueError("caps must be positive")
-        if self.nilpotency_cap < 0:
-            raise ValueError("caps must be positive")
+def _positive(text):
+    """argparse type of the caps: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,9 +52,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser():
     parser = _Parser(prog="stringalg", description=__doc__)
-    parser.add_argument("--max-len", type=int, default=64,
+    parser.add_argument("--max-len", type=_positive, default=64,
                         help="path-length guard for basis and maximal-path searches")
-    parser.add_argument("--cap-degree", type=int, default=32,
+    parser.add_argument("--cap-degree", type=_positive, default=32,
                         help="degree cap for the conjugation solver")
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON mirror of the text report")
@@ -223,17 +217,18 @@ def _cmd_decompose(args):
 def _cmd_smith(args):
     matrix = parse_poly_matrix(_read(args.matrix_file))
     fact = modified_smith(matrix)
+    verified = fact.verify(matrix)
     sigma = " ".join(str(s + 1) for s in fact.sigma)
     lines = [f"U = {format_poly_matrix(fact.U)}",
              f"D = {format_poly_matrix(fact.D)}",
              f"sigma = {sigma}",
              f"V = {format_poly_matrix(fact.V)}",
-             f"verified: {str(fact.verify(matrix)).lower()}"]
+             f"verified: {str(verified).lower()}"]
     _emit(args, lines, {"U": format_poly_matrix(fact.U),
                         "D": format_poly_matrix(fact.D),
                         "sigma": list(fact.sigma),
                         "V": format_poly_matrix(fact.V),
-                        "verified": fact.verify(matrix)})
+                        "verified": verified})
     return 0
 
 
@@ -268,12 +263,6 @@ def run(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
-        args.config = Config(max_path_length=args.max_len,
-                             conjugation_degree_cap=args.cap_degree)
-    except ValueError as exc:
-        print(f"stringalg: error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
         return _COMMANDS[args.command](args)
     except _CAPS as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -281,10 +270,7 @@ def run(argv=None):
     except _CERT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CERTIFICATION_FAILURE
-    except (_INVALID + (OSError,)) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INVALID_INPUT
-    except StringAlgError as exc:
+    except _INVALID as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID_INPUT
 

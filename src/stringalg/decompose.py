@@ -225,12 +225,14 @@ def _primitive(m):
 # -- stage 3: the level tower over the radical ----------------------------------
 
 
-def _radical_tower(f, graded_check=True):
-    """Peel f (vertex fixing, arrows moved inside the radical) level by level.
+def _radical_tower(f):
+    """Stage 3: peel f (vertex fixing, arrows moved inside the radical)
+    level by level.
 
     Returns (d, rho, rho_inverse, u) with f = exp(d) o rho o conj(u) exactly;
     d is a maximal-type derivation, rho a composition of cycle-type
-    exponentials carrying its inverse, and u a unit congruent to 1.
+    exponentials carrying its inverse, and u a unit congruent to 1.  When
+    rho is itself inner, it is absorbed into u and returned as the identity.
     """
     algebra = f.algebra
     bound = algebra.radical_degree_bound()
@@ -253,7 +255,7 @@ def _radical_tower(f, graded_check=True):
         if not degrees:
             break
         n = min(degrees)
-        if graded_check and n <= 1:
+        if n <= 1:
             raise DecompositionError("input is not graded-identity on arrows")
         if n > bound:
             raise DecompositionError(
@@ -320,6 +322,11 @@ def _radical_tower(f, graded_check=True):
         still = [img - algebra.arrow(a) for a, img in current.arrow_images.items()]
         if any((not x.is_zero) and x.min_degree() <= n for x in still):
             raise DecompositionError(f"level {n} did not clear")
+    if not rho.is_identity():
+        match = _solve_inner_match(rho)
+        if match is not None:
+            u_acc = u_acc * match.value
+            rho = rho_inv = Endomorphism.identity(algebra)
     return d_acc, rho, rho_inv, u_acc
 
 
@@ -367,7 +374,7 @@ def _solve_inner_match(rho):
 # -- public pipeline -------------------------------------------------------------
 
 
-def decompose_string(f, absorb_inner=True):
+def decompose_string(f):
     """Decompose a vertex-fixing graded-identity automorphism of a
     finite-dimensional string presentation into [exponential,
     endpoint-preserving, inner] factors with exact recomposition."""
@@ -380,28 +387,21 @@ def decompose_string(f, absorb_inner=True):
     if not flags.fixes_vertices or not flags.graded_identity:
         raise CertificationError(
             "decompose_string requires a vertex-fixing graded-identity input")
-    factors = _tower_factors(f, absorb_inner=absorb_inner)
-    return _verified(Decomposition(tuple(factors), Endomorphism.identity(algebra)), f)
+    d, rho, _, u_value = _radical_tower(f)
+    return _verified(Decomposition(_tower_factors(d, rho, u_value),
+                                   Endomorphism.identity(algebra)), f)
 
 
-def _tower_factors(f, absorb_inner):
-    algebra = f.algebra
-    d_acc, rho, rho_inv, u_value = _radical_tower(f)
-    if absorb_inner and not rho.is_identity():
-        match = _solve_inner_match(rho)
-        if match is not None:
-            u_value = u_value * match.value
-            rho = Endomorphism.identity(algebra)
-            rho_inv = rho
+def _tower_factors(d, rho, u_value):
+    """The [exponential, endpoint-preserving, inner] factors exp(d), rho
+    and conjugation by the unit u_value."""
     unit = invert_unit(u_value)
-    return [
-        Factor(EXP_MAXIMAL, exponentiate(d_acc), derivation=d_acc),
-        Factor(ENDPOINT_PRESERVING, rho),
-        Factor(INNER, inner_automorphism(unit), unit=unit),
-    ]
+    return (Factor(EXP_MAXIMAL, exponentiate(d), derivation=d),
+            Factor(ENDPOINT_PRESERVING, rho),
+            Factor(INNER, inner_automorphism(unit), unit=unit))
 
 
-def decompose_general(f, degree_cap=32, absorb_inner=True):
+def decompose_general(f, degree_cap=32):
     """Full decomposition of a certified automorphism of any valid
     (locally) string presentation other than the one-loop free algebra.
 
@@ -459,23 +459,12 @@ def decompose_general(f, degree_cap=32, absorb_inner=True):
     g3 = verify_endomorphism(g3)
     # stage 3: radical tower
     d_acc, rho, rho_inv, u4_value = _radical_tower(g3)
-    if absorb_inner and not rho.is_identity():
-        match = _solve_inner_match(rho)
-        if match is not None:
-            u4_value = u4_value * match.value
-            rho = Endomorphism.identity(algebra)
-            rho_inv = rho
     # assemble: g = exp(d_acc - d1) o rho o conj(u_final)
     d_total = d_acc.plus(d1.negated())
     w = u3.inverse * u2.value
     exp_acc_inv = exponentiate(d_acc).inverse
     u_final_value = u4_value * rho_inv.apply(exp_acc_inv.apply(w))
-    unit = invert_unit(u_final_value)
-    factors.extend([
-        Factor(EXP_MAXIMAL, exponentiate(d_total), derivation=d_total),
-        Factor(ENDPOINT_PRESERVING, rho),
-        Factor(INNER, inner_automorphism(unit), unit=unit),
-    ])
+    factors.extend(_tower_factors(d_total, rho, u_final_value))
     return _verified(Decomposition(tuple(factors), Endomorphism.identity(algebra)), f)
 
 

@@ -9,8 +9,8 @@ class StringAlgError(Exception):
     """Base class for all library errors."""
 
 
-class QuiverFormatError(StringAlgError):
-    """Malformed quiver file; carries a 1-based line number when known."""
+class FormatError(StringAlgError):
+    """Malformed input text; carries a 1-based line number when known."""
 
     def __init__(self, message, line=None):
         self.line = line
@@ -19,11 +19,15 @@ class QuiverFormatError(StringAlgError):
         super().__init__(message)
 
 
-class ElementFormatError(StringAlgError):
-    """Malformed element expression."""
+class QuiverFormatError(FormatError):
+    """Malformed quiver file."""
 
 
-class MatrixFormatError(StringAlgError):
+class ElementFormatError(FormatError):
+    """Malformed element expression or map file."""
+
+
+class MatrixFormatError(FormatError):
     """Malformed polynomial-matrix file."""
 
 

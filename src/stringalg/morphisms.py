@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CapExceededError, CertificationError, DerivationError,
-                     ElementFormatError, NotAUnitError, NotInvertibleError,
-                     ShapeError)
+                     NotAUnitError, NotInvertibleError, ShapeError)
 from ._linalg import matrix_inverse
-from .algebra import Element, PathAlgebra, format_element, parse_element
+from .algebra import Element, PathAlgebra, format_element
 from .maximal import (classify_maximal, component_of_path, is_left_maximal,
                       is_right_maximal, parallel_maximal)
-from .quiver import AlgebraPresentation, Path, Quiver, RelationSet
+from .quiver import AlgebraPresentation, Path, Quiver, RelationSet, _read_map
 
 # derivation type tags
 CYCLE = "cycle"          # arrow -> combination of returning paths through it
@@ -451,37 +450,21 @@ def invert_unit(u):
         if key is None:
             inverse = inverse * geometric_inverse(block)
         else:
-            comp = algebra  # component elements live in the parent algebra
-            sub_algebra, to_sub, from_sub = _component_context(comp, key)
-            emb = cycle_embedding(sub_algebra)
-            mat = emb.embed(sub_algebra.one() + to_sub(block))
+            sub = component_algebra(algebra, key)
+            emb = cycle_embedding(sub)
+            mat = emb.embed(sub.one() + sub.element(block.terms))
             try:
                 inv_mat = poly_matrix_inverse(mat)
             except NotInvertibleError as exc:
                 raise NotAUnitError(
                     f"block of infinite maximal path {key} is not invertible "
                     f"(det = {exc.determinant})") from exc
-            inverse = inverse * from_sub(emb.preimage(inv_mat) - sub_algebra.one())
+            # back in the parent algebra, the component identity becomes the
+            # parent identity (extension by one)
+            block_inverse = emb.preimage(inv_mat) - sub.one()
+            inverse = inverse * (algebra.element(block_inverse.terms) + algebra.one())
     result = inverse * low_inv
     return Unit(u, result)
-
-
-def _component_context(algebra, index):
-    """Component algebra of one infinite maximal path plus element transport.
-
-    Transport shifts only the positive parts: `to_sub` embeds a combination
-    of block paths, `from_sub` maps a component element back, replacing the
-    component identity by the parent identity (extension by one).
-    """
-    sub_algebra = component_algebra(algebra, index)
-
-    def to_sub(x):
-        return sub_algebra.element(dict(x.terms))
-
-    def from_sub(x):
-        return algebra.element(dict(x.terms)) + algebra.one()
-
-    return sub_algebra, to_sub, from_sub
 
 
 def component_algebra(algebra, index):
@@ -540,44 +523,19 @@ def parse_endomorphism(algebra, text):
     Generators without a line default to themselves, so a file listing only
     the moved arrows describes the full map.
     """
-    vertex_images = {v: algebra.stationary(v) for v in algebra.quiver.vertices}
-    arrow_images = {a: algebra.arrow(a) for a in algebra.quiver.arrow_by_name}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not line.startswith("map ") or "=" not in line:
-            raise ElementFormatError(f"line {lineno}: expected `map <generator> = <element>`")
-        lhs, rhs = line[4:].split("=", 1)
-        lhs = lhs.strip()
-        img = parse_element(algebra, rhs.strip())
-        if lhs.startswith("e_"):
-            v = lhs[2:]
-            if v not in algebra.quiver.arrows_from:
-                raise ElementFormatError(f"line {lineno}: unknown vertex {v}")
-            vertex_images[v] = img
-        elif lhs in algebra.quiver.arrow_by_name:
-            arrow_images[lhs] = img
-        else:
-            raise ElementFormatError(f"line {lineno}: unknown generator {lhs}")
-    return Endomorphism(algebra, vertex_images, arrow_images)
+    q = algebra.quiver
+    names = [f"e_{v}" for v in q.vertices] + list(q.arrow_by_name)
+    images = _read_map(text, names, algebra.parse_element)
+    return Endomorphism(
+        algebra,
+        {v: images.get(f"e_{v}", algebra.stationary(v)) for v in q.vertices},
+        {a: images.get(a, algebra.arrow(a)) for a in q.arrow_by_name})
 
 
 def parse_derivation(algebra, text):
     """Parse `map <arrow> = <element>` lines into a certified derivation."""
-    assignments = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not line.startswith("map ") or "=" not in line:
-            raise ElementFormatError(f"line {lineno}: expected `map <arrow> = <element>`")
-        lhs, rhs = line[4:].split("=", 1)
-        lhs = lhs.strip()
-        if lhs not in algebra.quiver.arrow_by_name:
-            raise ElementFormatError(f"line {lineno}: unknown arrow {lhs}")
-        assignments.append((lhs, parse_element(algebra, rhs.strip())))
-    return make_derivation(algebra, assignments)
+    images = _read_map(text, algebra.quiver.arrow_by_name, algebra.parse_element)
+    return make_derivation(algebra, list(images.items()))
 
 
 def format_endomorphism(f):

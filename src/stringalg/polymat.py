@@ -7,7 +7,6 @@ embedding of a one-cycle locally gentle algebra into such a matrix ring.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +14,7 @@ from fractions import Fraction
 from .errors import (MatrixFormatError, NotInImageError, NotInvertibleError,
                      ShapeError)
 from . import _smith
-from .quiver import Path
+from .quiver import Path, _format_sum, _lines, _parse_coeff, _signed_terms
 
 try:  # GMP-backed integers speed up Poly arithmetic (the extra "fast")
     from gmpy2 import gcd as _gcd, mpz as _int
@@ -654,91 +653,41 @@ def cycle_embedding(algebra):
     return algebra._cache["cycle_embedding"]
 
 
-def embed_in_matrix_ring(algebra, x):
-    return cycle_embedding(algebra).embed(x)
-
-
-def matrix_ring_preimage(algebra, mat):
-    return cycle_embedding(algebra).preimage(mat)
-
-
 # -- text format ----------------------------------------------------------------
 
-_MONO = re.compile(r"^(?P<coeff>[+-]?\d+(?:/\d+)?)?\s*(?:(?P<star>\*)?\s*x(?:\^(?P<pow>\d+))?)?$")
+_MONO = re.compile(r"(?P<coeff>[0-9]+(?:/[0-9]+)?)?\s*(?:\*?\s*(?P<x>x)(?:\^(?P<pow>[0-9]+))?)?")
 
 
 def parse_poly(text):
-    text = text.strip()
-    if not text:
-        raise MatrixFormatError("empty polynomial")
+    """A polynomial in x such as `6*x^3 - 4*x^2 + 1/2`, in the shared sum
+    and coefficient grammar of quiver.py."""
     out = {}
-    for sgn, chunk in _signed_chunks(text):
-        m = _MONO.match(chunk.strip())
-        if not m or (m.group("coeff") is None and "x" not in chunk):
-            raise MatrixFormatError(f"bad monomial {chunk!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        power = 0
-        if "x" in chunk:
-            power = int(m.group("pow")) if m.group("pow") else 1
-        out[power] = out.get(power, Fraction(0)) + sgn * coeff
-    degree = max(out, default=0)
-    return Poly([out.get(k, Fraction(0)) for k in range(degree + 1)])
-
-
-def _signed_chunks(text):
-    chunks = []
-    sign = 1
-    buf = ""
-    for piece in re.split(r"([+-])", text):
-        if piece == "+" or piece == "-":
-            if buf.strip():
-                chunks.append((sign, buf.strip()))
-                sign = 1 if piece == "+" else -1
-            else:
-                sign = sign * (1 if piece == "+" else -1)
-            buf = ""
-        else:
-            buf += piece
-    if buf.strip():
-        chunks.append((sign, buf.strip()))
-    if not chunks:
-        raise MatrixFormatError(f"cannot parse {text!r}")
-    return chunks
+    for sign, term in _signed_terms(text, MatrixFormatError):
+        m = _MONO.fullmatch(term)
+        coeff = _parse_coeff(m["coeff"] or "1") if m else None
+        if coeff is None:
+            raise MatrixFormatError(f"bad monomial {term!r}")
+        power = int(m["pow"] or 1) if m["x"] else 0
+        out[power] = out.get(power, 0) + sign * coeff
+    return Poly([out.get(k, 0) for k in range(max(out) + 1)])
 
 
 def format_poly(p):
-    if p.is_zero:
-        return "0"
-    pieces = []
-    for k in range(p.degree, -1, -1):
-        c = p.monomial_coefficient(k)
-        if not c:
-            continue
-        if k == 0:
-            body = _fmt_frac(abs(c))
-        elif k == 1:
-            body = f"{_fmt_frac(abs(c))}*x"
-        else:
-            body = f"{_fmt_frac(abs(c))}*x^{k}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
-
-
-def _fmt_frac(c):
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    return _format_sum((c, "" if k == 0 else "*x" if k == 1 else f"*x^{k}")
+                       for k in range(p.degree, -1, -1)
+                       if (c := p.monomial_coefficient(k)))
 
 
 def parse_poly_matrix(text):
     """Rows separated by ';' or newlines, entries by ','."""
     rows = []
-    for row_text in re.split(r"[;\n]", text):
-        row_text = row_text.split("#", 1)[0].strip()
-        if not row_text:
-            continue
-        rows.append([parse_poly(e) for e in row_text.split(",")])
+    for lineno, line in _lines(text):
+        for row_text in line.split(";"):
+            if row_text.strip():
+                try:
+                    rows.append([parse_poly(e) for e in row_text.split(",")])
+                except MatrixFormatError as exc:
+                    raise MatrixFormatError(str(exc), lineno) from exc
     if not rows:
         raise MatrixFormatError("empty matrix")
     if any(len(r) != len(rows) for r in rows):

@@ -11,9 +11,10 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
-from .errors import InvalidPresentationError, QuiverFormatError
+from .errors import ElementFormatError, InvalidPresentationError, QuiverFormatError
 
 VALID_CLASSIFICATIONS = ("string", "locally-string", "gentle", "locally-gentle")
 
@@ -334,7 +335,142 @@ def validate_presentation(quiver, relations):
     return ("gentle" if finite else "locally-gentle"), []
 
 
-_ARROW_LINE = re.compile(r"^arrow\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$")
+# -- the text grammar -----------------------------------------------------------
+#
+# Every text format (quiver, element, map and matrix files) is read through
+# the helpers below: one identifier rule, `#` comments to the end of a line,
+# directives as whole first words, sums of signed terms in which a run of
+# signs multiplies out, and exact rational coefficients `p` or `p/q`.
+
+_IDENT = re.compile(r"[A-Za-z0-9_]+")
+_COEFF = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+_SIGN = re.compile(r"([+-])")
+_ARROW = re.compile(r"(\S+)\s*:\s*(\S+)\s*->\s*(\S+)")
+_MAP = re.compile(r"([^\s=]+)\s*=(.*)")
+
+
+def _lines(text):
+    """(line number from 1, content) of each line that is not blank once its
+    `#` comment is cut off."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _directive(line):
+    """The first word of a line and the rest, stripped."""
+    parts = line.split(None, 1)
+    return parts[0], parts[1] if len(parts) > 1 else ""
+
+
+def _name(text, kind, lineno):
+    """A vertex or arrow name: letters, digits and `_`, and an arrow name
+    does not start with `e_` (the prefix of stationary paths), so that every
+    element written over the names parses back to itself."""
+    if not _IDENT.fullmatch(text) or (kind == "arrow" and text.startswith("e_")):
+        rule = " and does not start with e_" if kind == "arrow" else ""
+        raise QuiverFormatError(
+            f"bad {kind} name {text!r}: a {kind} name uses letters, digits "
+            f"and _{rule}", lineno)
+    return text
+
+
+def _signed_terms(text, error):
+    """(sign, term) of each term of a sum such as `2*a - 1/3*b`.  The signs
+    before a term multiply (`x - -3` is x + 3); an empty sum or a sign with
+    no term after it raises `error`."""
+    pieces = _SIGN.split(text)
+    terms, sign = [], 1
+    for k, piece in enumerate(pieces):
+        if k % 2:
+            sign = -sign if piece == "-" else sign
+        elif piece.strip():
+            terms.append((sign, piece.strip()))
+            sign = 1
+    if not terms:
+        raise error(f"no terms in {text!r}")
+    if len(pieces) > 1 and not pieces[-1].strip():
+        raise error(f"sign without a term in {text!r}")
+    return terms
+
+
+def _format_sum(terms):
+    """Text of a sum of (nonzero coefficient, suffix) terms, such as
+    `-2*a + 1/3*b.a`, or `0` for none; read back by _signed_terms."""
+    pieces = []
+    for c, suffix in terms:
+        body = _format_coeff(abs(c)) + suffix
+        if pieces:
+            pieces.append(("+ " if c > 0 else "- ") + body)
+        else:
+            pieces.append(body if c > 0 else "-" + body)
+    return " ".join(pieces) or "0"
+
+
+def _parse_coeff(text):
+    """The Fraction written `p` or `p/q` in decimal digits, or None when text
+    is not of that form or q is 0."""
+    m = _COEFF.fullmatch(text)
+    if m is None:
+        return None
+    den = _digits_int(m[2]) if m[2] else 1
+    return Fraction(_digits_int(m[1]), den) if den else None
+
+
+def _format_coeff(c):
+    """Text of a nonnegative Fraction as `p` or `p/q`; see _parse_coeff."""
+    if c.denominator == 1:
+        return _int_digits(c.numerator)
+    return f"{_int_digits(c.numerator)}/{_int_digits(c.denominator)}"
+
+
+# Python converts an int to or from decimal text only up to a process-wide
+# number of digits (4,300 by default, never below 640).  Longer values are
+# split in halves until each half converts, and the limit is left alone.
+
+def _int_digits(n):
+    """Decimal text of a nonnegative int of any size."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half the digits (log10 2 > 3/10)
+        high, low = divmod(n, 10 ** k)
+        return _int_digits(high) + _int_digits(low).zfill(k)
+
+
+def _digits_int(text):
+    """The int written as a string of decimal digits of any length."""
+    try:
+        return int(text)
+    except ValueError:
+        k = len(text) // 2
+        return _digits_int(text[:-k]) * 10 ** k + _digits_int(text[-k:])
+
+
+def _read_map(text, generators, parse):
+    """{generator: parse(expression)} of the `map <generator> = <expression>`
+    lines of a map file, in line order.  A malformed line, a generator not
+    in `generators` or given twice, and an expression that does not parse
+    raise ElementFormatError naming the line."""
+    images, first = {}, {}
+    for lineno, line in _lines(text):
+        word, rest = _directive(line)
+        m = _MAP.fullmatch(rest) if word == "map" else None
+        if m is None:
+            raise ElementFormatError("expected `map <generator> = <element>`", lineno)
+        name, expression = m[1], m[2].strip()
+        if name not in generators:
+            raise ElementFormatError(f"unknown generator {name}", lineno)
+        if name in first:
+            raise ElementFormatError(
+                f"second map line for {name} (the first is line {first[name]})", lineno)
+        first[name] = lineno
+        try:
+            images[name] = parse(expression)
+        except ElementFormatError as exc:
+            raise ElementFormatError(str(exc), lineno) from exc
+    return images
 
 
 def parse_quiver(text):
@@ -342,46 +478,43 @@ def parse_quiver(text):
 
     Format: `vertex <id>`, `arrow <id> : <src> -> <tgt>`,
     `relation <arrowid> <arrowid> ...` (left-to-right composition),
-    with '#' starting a comment.
+    with '#' starting a comment; see _name for the identifiers.
     """
-    vertices, arrows, relations = [], [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("vertex"):
-            parts = line.split()
-            if len(parts) != 2:
+    vertices, arrows, relations = [], {}, []
+    for lineno, line in _lines(text):
+        word, rest = _directive(line)
+        if word == "vertex":
+            if len(rest.split()) != 1:
                 raise QuiverFormatError("expected `vertex <id>`", lineno)
-            if parts[1] in vertices:
-                raise QuiverFormatError(f"duplicate vertex {parts[1]}", lineno)
-            vertices.append(parts[1])
-        elif line.startswith("arrow"):
-            m = _ARROW_LINE.match(line)
+            name = _name(rest, "vertex", lineno)
+            if name in vertices:
+                raise QuiverFormatError(f"duplicate vertex {name}", lineno)
+            vertices.append(name)
+        elif word == "arrow":
+            m = _ARROW.fullmatch(rest)
             if not m:
                 raise QuiverFormatError("expected `arrow <id> : <src> -> <tgt>`", lineno)
             name, src, tgt = m.groups()
-            if any(a[0] == name for a in arrows):
+            if _name(name, "arrow", lineno) in arrows:
                 raise QuiverFormatError(f"duplicate arrow {name}", lineno)
             if src not in vertices:
                 raise QuiverFormatError(f"unknown source vertex {src}", lineno)
             if tgt not in vertices:
                 raise QuiverFormatError(f"unknown target vertex {tgt}", lineno)
-            arrows.append((name, src, tgt))
-        elif line.startswith("relation"):
-            parts = line.split()[1:]
+            arrows[name] = (name, src, tgt)
+        elif word == "relation":
+            parts = rest.split()
             if len(parts) < 2:
                 raise QuiverFormatError("relation needs at least two arrows", lineno)
-            known = {a[0] for a in arrows}
             for p in parts:
-                if p not in known:
+                if p not in arrows:
                     raise QuiverFormatError(f"unknown arrow {p} in relation", lineno)
             relations.append((tuple(parts), lineno))
         else:
-            raise QuiverFormatError(f"unrecognised directive: {line.split()[0]}", lineno)
+            raise QuiverFormatError(f"unrecognised directive: {word}", lineno)
     if not arrows:
         raise QuiverFormatError("quiver must declare at least one arrow")
-    quiver = Quiver(vertices, arrows)
+    quiver = Quiver(vertices, arrows.values())
     for arrs, lineno in relations:
         if not quiver.is_composable(arrs):
             raise QuiverFormatError(f"relation {'.'.join(arrs)} is not composable", lineno)

@@ -141,9 +141,26 @@ def test_element_parse_juxtaposed_and_middot(ex_string):
 
 
 def test_element_parse_errors(ex_string):
-    for bad in ["", "1*q", "2*a.a", "e_9", "1/0*a"]:
+    for bad in ["", "1*q", "2*a.a", "e_9", "1/0*a", "2*", "1*a +", "1*a - -", "1.5*a"]:
         with pytest.raises(ElementFormatError):
             parse_element(ex_string, bad)
+
+
+def test_consecutive_signs_multiply(ex_string):
+    a, b = ex_string.arrow("a"), ex_string.arrow("b")
+    assert parse_element(ex_string, "1*a - -3*b") == a + b.scale(3)
+    assert parse_element(ex_string, "-1*a + -3*b") == -a - b.scale(3)
+    assert parse_element(ex_string, "- - 1*a") == a
+
+
+def test_element_coefficients_past_the_int_str_limit(ex_string):
+    # Python refuses int <-> str conversions past 4,300 digits by default
+    num, den = "1" + "0" * 4999 + "7", "3" + "0" * 4998 + "1"
+    big = Fraction(10 ** 5000 + 7, 3 * 10 ** 4999 + 1)
+    x = ex_string.arrow("a").scale(big) - ex_string.one().scale(big)
+    text = format_element(x)
+    assert text == f"-{num}/{den} + {num}/{den}*a"
+    assert parse_element(ex_string, text) == x
 
 
 def test_ideal_paths_collapse_to_zero(ex_string):

@@ -142,6 +142,38 @@ def test_smith(files, capsys):
     assert "sigma = " in out
 
 
+def test_smith_prints_coefficients_past_the_int_str_limit(files, capsys):
+    # Python refuses int <-> str conversions past 4,300 digits by default
+    big = "1" * 4401
+    assert run(["smith", files("m.mat", f"{big}*x + 1, 1; 1, x\n")]) == 0
+    out = capsys.readouterr().out
+    assert big in out
+    assert out.endswith("verified: true\n")
+
+
+@pytest.mark.parametrize("command,text", [
+    ("smith", "1/0, 0; 0, 1\n"),
+    ("smith", "1, 0\n0, x +\n"),
+    ("smith", b"1, 0; 0, \xff\n"),
+    ("derivation", "map a = 2*\n"),
+    ("derivation", "map a = 1*a.b.a\nmap a = 1*a.b.a\n"),
+    ("decompose", "map a = 1*a + 2*a.b.a\nmap a = 1*a\n"),
+    ("decompose", "map a = 1*a +\n"),
+])
+def test_malformed_file_is_invalid_input(files, capsys, tmp_path, command, text):
+    path = tmp_path / "input"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    argv = [command, str(path)] if command == "smith" else \
+        [command, files("q.quiver", TWO_CYCLE_REL), str(path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_outer_class(files, capsys):
     assert run(["outer-class", files("k.quiver", KRONECKER)]) == 0
     assert "group: GL_2(k)" in capsys.readouterr().out

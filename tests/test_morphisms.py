@@ -8,7 +8,7 @@ import pytest
 
 from stringalg import Path, parse_quiver
 from stringalg.errors import (CapExceededError, CertificationError,
-                              DerivationError, NotAUnitError)
+                              DerivationError, ElementFormatError, NotAUnitError)
 from stringalg.maximal import classify_maximal, parallel_maximal, rotation_sum
 from stringalg.morphisms import (CYCLE, MAXIMAL, OTHER, PARALLEL, Endomorphism,
                                  Unit, exponentiate, format_endomorphism,
@@ -400,6 +400,23 @@ def test_format_endomorphism_round_trip(ex_string):
 def test_parse_derivation(ex_string):
     d = parse_derivation(ex_string, "map a = 1*a.b.a")
     assert d.arrow_images["a"] == ex_string.path_element(("a", "b", "a"))
+
+
+@pytest.mark.parametrize("parse", [parse_endomorphism, parse_derivation])
+def test_duplicate_map_line_is_rejected(ex_string, parse):
+    with pytest.raises(ElementFormatError) as err:
+        parse(ex_string, "map a = 1*a.b.a\n# again\nmap a = 1*a.b.a\n")
+    assert err.value.line == 3
+    assert "line 1" in str(err.value)
+
+
+@pytest.mark.parametrize("parse", [parse_endomorphism, parse_derivation])
+def test_map_line_errors_name_their_line(ex_string, parse):
+    for text in ["map a = 1*a\nmap b = 2*", "map a = 1*a\nmap b = 1*b +",
+                 "map a = 1*a\nmaps b = 1*b", "map a = 1*a\nmap q = 1*b"]:
+        with pytest.raises(ElementFormatError) as err:
+            parse(ex_string, text)
+        assert err.value.line == 2, text
 
 
 def test_unit_boundary_on_one_loop(poly_ring):

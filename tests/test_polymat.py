@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from stringalg import parse_quiver
-from stringalg.errors import NotInImageError, NotInvertibleError, ShapeError
+from stringalg.errors import (MatrixFormatError, NotInImageError, NotInvertibleError,
+                              ShapeError)
 from stringalg.maximal import classify_maximal, cycle_sum
 from stringalg.polymat import (Poly, PolyMatrix, SmithFactorization, cycle_embedding, format_poly,
                                format_poly_matrix, modified_smith,
                                parse_poly, parse_poly_matrix,
-                               poly_matrix_inverse, embed_in_matrix_ring, matrix_ring_preimage,
+                               poly_matrix_inverse,
                                smith_elimination_step, _pivot_position)
 from stringalg._smith import (PRIME_BITS, PRIME_OFFSETS, Differences, eliminate, horner,
                               identity, pivot, primes, probable_prime, reduced)
@@ -43,6 +44,29 @@ def test_poly_parse_variants():
     assert parse_poly("3/2*x") == Poly((0, Fraction(3, 2)))
     assert parse_poly(format_poly(Poly((Fraction(1, 3), 0, -2)))) == \
         Poly((Fraction(1, 3), 0, -2))
+
+
+def test_poly_consecutive_signs_and_bad_monomials():
+    assert parse_poly("x - -3") == parse_poly("x + 3")
+    for bad in ["", "x +", "2*", "1/0", "x^", "1.5*x", "y"]:
+        with pytest.raises(MatrixFormatError):
+            parse_poly(bad)
+
+
+def test_poly_coefficients_past_the_int_str_limit():
+    # Python refuses int <-> str conversions past 4,300 digits by default
+    p = Poly((Fraction(-(10 ** 5000) - 1, 7), 0, 10 ** 5000 + 3))
+    text = format_poly(p)
+    assert len(text) > 10000
+    assert parse_poly(text) == p
+    m = PolyMatrix([[p, Poly.const(1)], [Poly(), Poly.x()]])
+    assert parse_poly_matrix(format_poly_matrix(m)) == m
+
+
+def test_matrix_errors_name_their_line():
+    with pytest.raises(MatrixFormatError) as err:
+        parse_poly_matrix("1, 0  # first row\n\n0, 1/0\n")
+    assert err.value.line == 3
 
 
 def test_first_elimination_matches_worked_example():
@@ -238,15 +262,16 @@ def test_embedding_of_generators(cycle_free):
 def test_embedding_of_central_cycle_sum(cycle_free):
     rep = classify_maximal(cycle_free)
     m = cycle_sum(cycle_free, rep.infinite_maximal[0])
-    assert embed_in_matrix_ring(cycle_free, m) == parse_poly_matrix("x, 0; 0, x")
+    assert cycle_embedding(cycle_free).embed(m) == parse_poly_matrix("x, 0; 0, x")
 
 
 def test_preimage_examples(cycle_free):
-    assert matrix_ring_preimage(cycle_free, parse_poly_matrix("x, 0; 0, x")) == \
+    preimage = cycle_embedding(cycle_free).preimage
+    assert preimage(parse_poly_matrix("x, 0; 0, x")) == \
         cycle_free.path_element(("a", "b")) + cycle_free.path_element(("b", "a"))
-    assert matrix_ring_preimage(cycle_free, PolyMatrix.identity(2)) == cycle_free.one()
+    assert preimage(PolyMatrix.identity(2)) == cycle_free.one()
     with pytest.raises(NotInImageError) as err:
-        matrix_ring_preimage(cycle_free, parse_poly_matrix("0, 0; 1, 0"))
+        preimage(parse_poly_matrix("0, 0; 1, 0"))
     assert "below the diagonal" in str(err.value)
 
 
@@ -255,7 +280,7 @@ def test_preimage_diagonal_mismatch():
     # both loop arrows share the single vertex, so unequal diagonal
     # constants cannot come from a stationary path
     with pytest.raises(NotInImageError) as err:
-        matrix_ring_preimage(two_loops, parse_poly_matrix("1, 0; 0, 2"))
+        cycle_embedding(two_loops).preimage(parse_poly_matrix("1, 0; 0, 2"))
     assert "disagree" in str(err.value)
 
 

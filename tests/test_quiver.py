@@ -32,6 +32,20 @@ def test_comments_and_blank_lines():
     assert p.classification == "locally-gentle"
 
 
+# directives that are not whole words, and names whose elements would not
+# read back: (text, line of the fault, message fragment)
+BAD_LINES = [
+    ("vertex 1\nvertexes 2\narrow a : 1 -> 1", 2, "unrecognised directive: vertexes"),
+    ("vertex 1\narrow a : 1 -> 1\nrelations a a", 3, "unrecognised directive: relations"),
+    ("vertex 1\narrow a-b : 1 -> 1", 2, "bad arrow name 'a-b'"),
+    ("vertex 1\narrow a.b : 1 -> 1", 2, "bad arrow name 'a.b'"),
+    ("vertex 1\narrow a*b : 1 -> 1", 2, "bad arrow name 'a*b'"),
+    ("vertex 1\n# e_1 would read as the stationary path\narrow e_1 : 1 -> 1", 3,
+     "bad arrow name 'e_1'"),
+    ("vertex 1\nvertex 1+\narrow a : 1 -> 1", 2, "bad vertex name '1+'"),
+]
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("vertex 1\nvertex 1\narrow a : 1 -> 1", "duplicate vertex"),
     ("vertex 1\narrow a : 1 -> 1\narrow a : 1 -> 1", "duplicate arrow"),
@@ -40,11 +54,18 @@ def test_comments_and_blank_lines():
     ("vertex 1\nvertex 2\narrow a : 1 -> 2\nrelation a a", "not composable"),
     ("vertex 1\nfrobnicate 1", "unrecognised"),
     ("vertex 1", "at least one arrow"),
-])
+] + [(text, fragment) for text, _, fragment in BAD_LINES])
 def test_parse_errors(text, fragment):
     with pytest.raises(QuiverFormatError) as err:
         parse_quiver(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("text,line,fragment", BAD_LINES)
+def test_rejected_line_is_named(text, line, fragment):
+    with pytest.raises(QuiverFormatError) as err:
+        parse_quiver(text)
+    assert err.value.line == line
 
 
 def test_parse_error_carries_line_number():
