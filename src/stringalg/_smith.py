@@ -12,6 +12,8 @@ constant term first; a rational polynomial is a pair (den, numerators).
 import math
 from collections import Counter
 
+from .errors import InvariantError
+
 PRIME_BITS = 512
 # the smallest odd c for which 2**512 - c is a probable prime, in order
 PRIME_OFFSETS = (
@@ -159,9 +161,10 @@ def smith_image(start, rows, cols, p):
                      and not any(cur[r][j0] for r in rows if r != i0))
             if prev is not None:
                 if best > prev:
-                    raise RuntimeError("pivot measure increased; elimination is broken")
+                    raise InvariantError("smith elimination", "pivot measure increased")
                 if best == prev and not clear:
-                    raise RuntimeError("pivot measure stalled without clearing")
+                    raise InvariantError("smith elimination",
+                                         "pivot measure stalled without clearing")
             trace.append((best, clear))
             if clear:
                 break

@@ -1,9 +1,12 @@
 """Exact arithmetic in the quotient of a path algebra by a monomial ideal.
 
 Elements are finite rational combinations of basis paths (paths avoiding the
-ideal).  All arithmetic is exact over the rationals; products of basis paths
-reduce to a basis path or to zero, so no normal-form computation beyond
-subpath filtering is ever needed.
+ideal).  All arithmetic is exact over the rationals.  In a (locally) string
+algebra each arrow has at most one surviving continuation, so the basis
+paths starting with an arrow are the prefixes of one walk from it, finite or
+going round a surviving cycle forever.  A path is zero exactly when it is
+not such a prefix, and a product of basis paths is a basis path exactly
+when the joined arrows are; both are read off a table of those walks.
 """
 
 from __future__ import annotations
@@ -11,9 +14,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import BoundExceededError, ElementFormatError, InvalidPresentationError
+from .errors import BoundExceededError, ElementFormatError
 from .quiver import (Path, _format_sum, _parse_coeff, _signed_terms, surviving_cycles,
-                     unique_continuation, unique_predecessor)
+                     unique_continuation)
 
 
 class Element:
@@ -86,11 +89,6 @@ class Element:
     def degree_part(self, n):
         return Element(self.algebra, {p: c for p, c in self.terms.items() if p.length == n})
 
-    def degree_range_part(self, lo, hi=None):
-        return Element(self.algebra, {
-            p: c for p, c in self.terms.items()
-            if p.length >= lo and (hi is None or p.length <= hi)})
-
     def min_degree(self):
         """Lowest degree with a nonzero term; None for the zero element."""
         return min((p.length for p in self.terms), default=None)
@@ -121,6 +119,7 @@ class PathAlgebra:
         self.relations = presentation.relations
         self.max_path_length = max_path_length
         self._cache = {}
+        self._walks = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -151,8 +150,10 @@ class PathAlgebra:
     # -- ideal and multiplication ---------------------------------------------
 
     def in_ideal(self, path):
-        """Monomial ideal membership: a generator occurs as a subpath."""
-        return self.relations.contains(path)
+        """A nonstationary path is zero unless it is the walk from its first
+        arrow, so a path whose arrows do not compose is zero as well."""
+        arrows = path.arrows
+        return bool(arrows) and arrows != self._walk(arrows[0], len(arrows))
 
     def concat(self, p, q):
         """Concatenation of basis paths, or None when the product is zero."""
@@ -160,24 +161,10 @@ class PathAlgebra:
             return q if p.vertex == self.quiver.path_source(q) else None
         if q.is_stationary:
             return p if self.quiver.path_target(p) == q.vertex else None
-        if self.quiver.target(p.arrows[-1]) != self.quiver.source(q.arrows[0]):
-            return None
-        joined = Path.of(p.arrows + q.arrows)
-        return None if self.in_ideal(joined) else joined
+        joined = p.arrows + q.arrows
+        return Path.of(joined) if joined == self._walk(joined[0], len(joined)) else None
 
     # -- structural maps (require the string overlap conditions) ---------------
-
-    def successor(self, arrow_name):
-        key = ("succ", arrow_name)
-        if key not in self._cache:
-            self._cache[key] = unique_continuation(self.quiver, self.relations, arrow_name)
-        return self._cache[key]
-
-    def predecessor(self, arrow_name):
-        key = ("pred", arrow_name)
-        if key not in self._cache:
-            self._cache[key] = unique_predecessor(self.quiver, self.relations, arrow_name)
-        return self._cache[key]
 
     def infinite_cycles(self):
         """Canonical rotations of the cycles generating infinite maximal paths."""
@@ -198,35 +185,49 @@ class PathAlgebra:
                      if a.name not in cyc)
 
     def _walk(self, arrow_name, max_len):
-        """Arrows of the longest basis path from `arrow_name`, capped at max_len."""
-        arrows = [arrow_name]
-        while len(arrows) < max_len:
-            nxt = self.successor(arrows[-1])
-            if nxt is None:
-                break
-            candidate = arrows + [nxt]
-            if self.in_ideal(Path.of(candidate)):
-                break
-            arrows = candidate
-        return arrows
+        """The first max_len arrows of the walk from `arrow_name`, as a tuple:
+        the longest basis path starting there, or its surviving cycle read
+        from the arrow and repeated."""
+        if arrow_name not in self._walks:
+            self._walks[arrow_name] = self._full_walk(arrow_name)
+        walk, periodic = self._walks[arrow_name]
+        if periodic and len(walk) < max_len:
+            walk *= -(-max_len // len(walk))
+        return walk[:max_len]
 
-    def radical_paths(self):
-        """All nonstationary basis paths avoiding every infinite maximal path.
+    def _full_walk(self, arrow_name):
+        """(its surviving cycle read from the arrow, True), or (the longest
+        basis path from it, False): the unique continuations until the ideal
+        is met, within the longest relation past one round of a cycle that
+        does not survive, and within the number of arrows otherwise."""
+        for cyc in self.infinite_cycles():
+            if arrow_name in cyc:
+                i = cyc.index(arrow_name)
+                return cyc[i:] + cyc[:i], True
+        walk = [arrow_name]
+        while (nxt := unique_continuation(self.quiver, self.relations, walk[-1])) is not None:
+            if self.relations.contains(Path.of(walk + [nxt])):
+                break
+            walk.append(nxt)
+        return tuple(walk), False
 
-        This is a basis of the Jacobson radical.  Finite because powers of
-        non-surviving cycles eventually meet the ideal.
-        """
-        if "radical_paths" not in self._cache:
+    def radical_paths(self, max_len=None):
+        """All nonstationary basis paths avoiding every infinite maximal path,
+        a basis of the Jacobson radical: the prefixes of the finite walks.
+        Raises BoundExceededError when one is longer than max_len (default
+        max_path_length)."""
+        max_len = max_len if max_len is not None else self.max_path_length
+        key = ("radical_paths", max_len)
+        if key not in self._cache:
             paths = []
             for a in self.radical_arrows():
-                run = self._walk(a, self.max_path_length + 1)
-                if len(run) > self.max_path_length:
+                run = self._walk(a, max_len + 1)
+                if len(run) > max_len:
                     raise BoundExceededError(
-                        f"basis path from arrow {a} exceeds length bound "
-                        f"{self.max_path_length}; raise max_path_length")
+                        f"basis path from arrow {a} exceeds length bound {max_len}")
                 paths.extend(Path.of(run[:k]) for k in range(1, len(run) + 1))
-            self._cache["radical_paths"] = tuple(sorted(paths))
-        return self._cache["radical_paths"]
+            self._cache[key] = tuple(sorted(paths))
+        return self._cache[key]
 
     def radical_degree_bound(self):
         """Largest length of a radical basis path (0 when none exist)."""

@@ -20,7 +20,7 @@ from .morphisms import (exponentiate, format_endomorphism, inner_automorphism,
                         invert_unit, parse_derivation, parse_endomorphism,
                         verify_endomorphism)
 from .polymat import format_poly_matrix, modified_smith, parse_poly_matrix
-from .quiver import parse_quiver
+from .quiver import _lines, parse_quiver
 
 USAGE_ERROR = 64
 INVALID_INPUT = 2
@@ -180,7 +180,8 @@ def _cmd_exp(args):
 
 def _cmd_inner(args):
     algebra = _algebra(args)
-    u = invert_unit(algebra.parse_element(_read(args.element_file).strip()))
+    source = " ".join(line for _, line in _lines(_read(args.element_file)))
+    u = invert_unit(algebra.parse_element(source))
     f = inner_automorphism(u)
     text = format_endomorphism(f)
     lines = [f"unit: {format_element(u.value)}",

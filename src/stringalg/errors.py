@@ -40,7 +40,16 @@ class ShapeError(StringAlgError):
 
 
 class CertificationError(StringAlgError):
-    """An endomorphism failed one of the homomorphism identities."""
+    """A result failed its exact certification, such as an endomorphism
+    failing one of the homomorphism identities."""
+
+
+class InvariantError(CertificationError):
+    """An internal invariant check failed; names the stage it failed in."""
+
+    def __init__(self, stage, message):
+        self.stage = stage
+        super().__init__(f"{stage}: {message}")
 
 
 class DerivationError(StringAlgError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import nullspace
-from .errors import BoundExceededError
+from .errors import InvariantError
 from .quiver import Path
 
 
@@ -54,20 +54,13 @@ class ArrowPartition:
 def repeat_free_path(algebra, arrow_name):
     """The longest basis path starting at the arrow with no repeated arrow.
 
-    Unique because continuations are single valued.  When the arrow sits on
-    a returning cycle the result is that cycle, read from the arrow.
+    Unique because continuations are single valued: the walk from the arrow
+    cut at its first repeated arrow.  When the arrow sits on a returning
+    cycle the result is that cycle, read from the arrow.
     """
-    arrows = [arrow_name]
-    seen = {arrow_name}
-    while True:
-        nxt = algebra.successor(arrows[-1])
-        if nxt is None or nxt in seen:
-            break
-        if algebra.in_ideal(Path.of(arrows + [nxt])):
-            break
-        arrows.append(nxt)
-        seen.add(nxt)
-    return Path.of(arrows)
+    run = algebra._walk(arrow_name, len(algebra.quiver.arrows))
+    cut = next((k for k, a in enumerate(run) if a in run[:k]), len(run))
+    return Path.of(run[:cut])
 
 
 def is_left_maximal(algebra, path):
@@ -94,14 +87,7 @@ def classify_maximal(algebra, max_len=None):
     if key in algebra._cache:
         return algebra._cache[key]
     infinite = tuple(InfiniteMaximalPath(Path.of(c)) for c in algebra.infinite_cycles())
-    candidates = []
-    for a in algebra.radical_arrows():
-        run = algebra._walk(a, max_len + 1)
-        if len(run) > max_len:
-            raise BoundExceededError(
-                f"finite-maximal search from arrow {a} exceeded max_len={max_len}")
-        candidates.extend(Path.of(run[:k]) for k in range(1, len(run) + 1))
-    candidates = sorted(set(candidates))
+    candidates = algebra.radical_paths(max_len)
     left = tuple(p for p in candidates if is_left_maximal(algebra, p))
     right = tuple(p for p in candidates if is_right_maximal(algebra, p))
     finite = tuple(p for p in left if is_right_maximal(algebra, p))
@@ -181,7 +167,7 @@ def _check_central(algebra, element, label):
     for g in algebra.generators():
         ge = algebra.path_element(g)
         if ge * element != element * ge:
-            raise RuntimeError(f"{label} fails to commute with {g}")
+            raise InvariantError("central element", f"{label} fails to commute with {g}")
 
 
 def parallel_maximal(algebra, arrow_name, max_len=None):
@@ -194,8 +180,9 @@ def parallel_maximal(algebra, arrow_name, max_len=None):
              if q.path_source(p) == src and q.path_target(p) == tgt
              and p.first_arrow != arrow_name and p.last_arrow != arrow_name]
     if len(found) > 1:
-        raise RuntimeError(f"multiple parallel maximal paths for {arrow_name}: "
-                           f"{[str(p) for p in found]}")
+        raise InvariantError("parallel maximal path",
+                             f"multiple parallel maximal paths for {arrow_name}: "
+                             f"{[str(p) for p in found]}")
     return found[0] if found else None
 
 

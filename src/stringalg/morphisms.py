@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CapExceededError, CertificationError, DerivationError,
-                     NotAUnitError, NotInvertibleError, ShapeError)
+                     InvariantError, NotAUnitError, NotInvertibleError, ShapeError)
 from ._linalg import matrix_inverse
 from .algebra import Element, PathAlgebra, format_element
 from .maximal import (classify_maximal, component_of_path, is_left_maximal,
@@ -97,12 +97,6 @@ class Endomorphism:
 
     def is_identity(self):
         return self == Endomorphism.identity(self.algebra)
-
-    def generator_images(self):
-        for v in sorted(self.vertex_images):
-            yield Path.stationary(v), self.vertex_images[v]
-        for a in sorted(self.arrow_images):
-            yield Path.of((a,)), self.arrow_images[a]
 
 
 def verify_endomorphism(f):
@@ -236,9 +230,6 @@ class Derivation:
     @property
     def is_zero(self):
         return not self.arrow_images
-
-    def image_of_arrow(self, a):
-        return self.arrow_images.get(a, self.algebra.zero())
 
     def apply_path(self, path):
         if path in self._path_cache:
@@ -482,7 +473,8 @@ def component_algebra(algebra, index):
     sub_quiver = Quiver(vertices, arrows)
     pres = AlgebraPresentation.build(sub_quiver, RelationSet(sub_quiver, gens))
     if pres.classification != "locally-gentle":
-        raise RuntimeError(
+        raise InvariantError(
+            "component algebra",
             f"infinite-maximal-path block is {pres.classification}, not locally gentle")
     sub = PathAlgebra(pres, max_path_length=algebra.max_path_length)
     algebra._cache[key] = sub

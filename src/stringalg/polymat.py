@@ -11,8 +11,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (MatrixFormatError, NotInImageError, NotInvertibleError,
-                     ShapeError)
+from .errors import (CapExceededError, InvariantError, MatrixFormatError,
+                     NotInImageError, NotInvertibleError, ShapeError)
 from . import _smith
 from .quiver import Path, _format_sum, _lines, _parse_coeff, _signed_terms
 
@@ -384,7 +384,7 @@ def poly_matrix_inverse(m):
             cof[i][j] = minor if (i + j) % 2 == 0 else -minor
     inv = PolyMatrix([[cof[j][i] * inv_det for j in range(n)] for i in range(n)])
     if inv * m != PolyMatrix.identity(n):
-        raise RuntimeError("inverse verification failed")
+        raise InvariantError("matrix inverse", "inverse * matrix is not the identity")
     return inv
 
 
@@ -400,12 +400,6 @@ class SmithFactorization:
     D: PolyMatrix
     sigma: tuple
     V: PolyMatrix
-
-    @property
-    def permutation_matrix(self):
-        n = self.D.n
-        rows = [[Poly.const(int(self.sigma[i] == j)) for j in range(n)] for i in range(n)]
-        return PolyMatrix(rows)
 
     def product(self):
         """U * D * P_sigma * V, computed exactly once and kept (verify keeps
@@ -534,7 +528,7 @@ def modified_smith(m):
         if fact == previous:
             break
         previous = fact
-    raise RuntimeError("factorization verification failed")
+    raise InvariantError("smith factorization", "no candidate passed its certificate")
 
 
 def _from_numerators(den, rows, zero):
@@ -656,20 +650,31 @@ def cycle_embedding(algebra):
 # -- text format ----------------------------------------------------------------
 
 _MONO = re.compile(r"(?P<coeff>[0-9]+(?:/[0-9]+)?)?\s*(?:\*?\s*(?P<x>x)(?:\^(?P<pow>[0-9]+))?)?")
+# largest exponent parse_poly reads: a Poly stores every coefficient up to its
+# degree, so a larger one stops before the list is built
+MAX_PARSE_DEGREE = 10_000
 
 
 def parse_poly(text):
     """A polynomial in x such as `6*x^3 - 4*x^2 + 1/2`, in the shared sum
-    and coefficient grammar of quiver.py."""
+    and coefficient grammar of quiver.py.  An exponent above
+    MAX_PARSE_DEGREE raises CapExceededError."""
     out = {}
     for sign, term in _signed_terms(text, MatrixFormatError):
         m = _MONO.fullmatch(term)
         coeff = _parse_coeff(m["coeff"] or "1") if m else None
         if coeff is None:
             raise MatrixFormatError(f"bad monomial {term!r}")
-        power = int(m["pow"] or 1) if m["x"] else 0
+        power = _exponent(m["pow"] or "1") if m["x"] else 0
         out[power] = out.get(power, 0) + sign * coeff
     return Poly([out.get(k, 0) for k in range(max(out) + 1)])
+
+
+def _exponent(digits):
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_PARSE_DEGREE)) or int(digits) > MAX_PARSE_DEGREE:
+        raise CapExceededError(f"exponent above the degree cap {MAX_PARSE_DEGREE}")
+    return int(digits)
 
 
 def format_poly(p):
@@ -688,6 +693,8 @@ def parse_poly_matrix(text):
                     rows.append([parse_poly(e) for e in row_text.split(",")])
                 except MatrixFormatError as exc:
                     raise MatrixFormatError(str(exc), lineno) from exc
+                except CapExceededError as exc:
+                    raise CapExceededError(f"line {lineno}: {exc}") from exc
     if not rows:
         raise MatrixFormatError("empty matrix")
     if any(len(r) != len(rows) for r in rows):

@@ -239,15 +239,6 @@ def unique_continuation(quiver, relations, arrow_name):
     return outs[0] if outs else None
 
 
-def unique_predecessor(quiver, relations, arrow_name):
-    ins = [b.name for b in quiver.arrows_into[quiver.source(arrow_name)]
-           if not _pair_in_ideal(relations, b.name, arrow_name)]
-    if len(ins) > 1:
-        raise InvalidPresentationError(
-            f"arrow {arrow_name} has two surviving predecessors {ins}")
-    return ins[0] if ins else None
-
-
 def surviving_cycles(quiver, relations):
     """Primitive cycles no power of which meets the ideal.
 

@@ -17,6 +17,12 @@ def test_ideal_membership(ex_string):
     assert not ex_string.in_ideal(Path.stationary("1"))
 
 
+def test_non_composable_path_is_zero(ex_string):
+    # the path algebra has no such path: a.a would pass through 1 -> 2 then 1
+    assert ex_string.in_ideal(Path.of(("a", "a")))
+    assert ex_string.element({Path.of(("a", "a")): 1}).is_zero
+
+
 def test_multiply_concatenates(ex_string):
     a, b = ex_string.arrow("a"), ex_string.arrow("b")
     assert a * b == ex_string.path_element(("a", "b"))

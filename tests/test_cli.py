@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from stringalg import _smith
 from stringalg.cli import run
+from stringalg.polymat import MAX_PARSE_DEGREE, PolyMatrix, _pairs
 
 from conftest import (CYCLE_PENDANT, DOUBLED_THREE_CYCLE, KRONECKER,
                       TWO_CYCLE_REL)
@@ -108,6 +110,15 @@ def test_inner(files, capsys):
     assert "map b = 1*b - 2*b.a.b" in out
 
 
+def test_inner_element_file_has_comments(files, capsys):
+    q = files("q.quiver", TWO_CYCLE_REL)
+    u = files("u.element", "# unit\n1 - 1*a.b  # the constant and a.b\n+ 1*b.a\n")
+    assert run(["inner", q, u]) == 0
+    out = capsys.readouterr().out
+    assert "unit: 1 - 1*a.b + 1*b.a" in out
+    assert "map a = 1*a + 2*a.b.a" in out
+
+
 def test_inner_not_a_unit_exit(files, capsys):
     q = files("q.quiver", "vertex 1\nvertex 2\narrow a : 1 -> 2\narrow b : 2 -> 1\n")
     u = files("u.element", "1 + 1*a.b\n")
@@ -140,6 +151,27 @@ def test_smith(files, capsys):
     assert "verified: true" in out
     assert out.startswith("U = ")
     assert "sigma = " in out
+
+
+@pytest.mark.parametrize("exponent", ["9" * 4301, "100000000"])
+def test_smith_exponent_above_the_degree_cap(files, capsys, exponent):
+    m = files("m.mat", f"1, x\nx^{exponent}, 1\n")
+    assert run(["smith", m]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2: ") and captured.err.count("\n") == 1
+    assert str(MAX_PARSE_DEGREE) in captured.err
+
+
+def test_smith_failed_invariant_is_certification_failure(files, capsys, monkeypatch):
+    # every candidate factors the identity, so none passes the certificate
+    identity = _pairs(PolyMatrix.identity(3).rows)
+    factorizations = _smith.factorizations
+    monkeypatch.setattr(_smith, "factorizations", lambda start: factorizations(identity))
+    assert run(["smith", files("m.mat", EXAMPLE_MATRIX)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: smith factorization: no candidate passed its certificate\n"
 
 
 def test_smith_prints_coefficients_past_the_int_str_limit(files, capsys):

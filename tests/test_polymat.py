@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from stringalg import parse_quiver
-from stringalg.errors import (MatrixFormatError, NotInImageError, NotInvertibleError,
-                              ShapeError)
+from stringalg.errors import (CapExceededError, MatrixFormatError, NotInImageError,
+                              NotInvertibleError, ShapeError)
 from stringalg.maximal import classify_maximal, cycle_sum
-from stringalg.polymat import (Poly, PolyMatrix, SmithFactorization, cycle_embedding, format_poly,
-                               format_poly_matrix, modified_smith,
+from stringalg.polymat import (MAX_PARSE_DEGREE, Poly, PolyMatrix, SmithFactorization,
+                               cycle_embedding, format_poly, format_poly_matrix, modified_smith,
                                parse_poly, parse_poly_matrix,
                                poly_matrix_inverse,
                                smith_elimination_step, _pivot_position)
@@ -50,6 +50,14 @@ def test_poly_consecutive_signs_and_bad_monomials():
     assert parse_poly("x - -3") == parse_poly("x + 3")
     for bad in ["", "x +", "2*", "1/0", "x^", "1.5*x", "y"]:
         with pytest.raises(MatrixFormatError):
+            parse_poly(bad)
+
+
+def test_poly_exponent_cap():
+    assert parse_poly(f"x^{MAX_PARSE_DEGREE}") == Poly.x(MAX_PARSE_DEGREE)
+    assert parse_poly("x^007") == Poly.x(7)
+    for bad in [f"x^{MAX_PARSE_DEGREE + 1}", "2*x^" + "9" * 4301]:
+        with pytest.raises(CapExceededError):
             parse_poly(bad)
 
 
