@@ -41,6 +41,9 @@ ENDPOINT_PRESERVING = "endpoint-preserving"   # generated by cycle-type exponent
 INNER = "inner"
 GRADED = "graded"
 
+# largest intertwiner system, in rows x unknowns, built before giving up
+MAX_INTERTWINER_SIZE = 10_000_000
+
 
 @dataclass(frozen=True)
 class Factor:
@@ -111,9 +114,7 @@ def peel_maximal(f):
     d = make_derivation(algebra, assignments)
     if not d.is_zero and MAXIMAL not in d.type_tags:
         raise DecompositionError("stray parts do not form a maximal-type derivation")
-    g = exponentiate(d).compose(f)
-    g = verify_endomorphism(g)
-    return d, g
+    return d, exponentiate(d).compose(f)
 
 
 # -- stage 2: conjugation solve on a one-cycle block ---------------------------
@@ -167,15 +168,20 @@ def _solve_intertwiner(images, n, degree):
     """Nonzero P over Q[x] of entry degree <= degree with
     P * embed(f(g)) = embed(g) * P for all generators, or None."""
     unknowns = n * n * (degree + 1)
+    max_degs = [degree + max(m.entry(i, j).degree for m in pair
+                             for i in range(n) for j in range(n))
+                for pair in images]
+    size = n * n * sum(d + 1 for d in max_degs) * unknowns
+    if size > MAX_INTERTWINER_SIZE:
+        raise CapExceededError(
+            f"intertwiner: the degree-{degree} system has {size} entries "
+            f"(rows x unknowns), above the cap of {MAX_INTERTWINER_SIZE}")
 
     def var(i, j, k):
         return (i * n + j) * (degree + 1) + k
 
     rows = []
-    for before, after in images:
-        max_deg = degree + max(
-            max((before.entry(i, j).degree for i in range(n) for j in range(n)), default=0),
-            max((after.entry(i, j).degree for i in range(n) for j in range(n)), default=0))
+    for (before, after), max_deg in zip(images, max_degs):
         for r in range(n):
             for c in range(n):
                 for e in range(max_deg + 1):
@@ -421,7 +427,6 @@ def decompose_general(f, degree_cap=32):
         gr_inverse = invert_graded(gr)
         factors.append(Factor(GRADED, gr))
         g = gr_inverse.compose(f)
-        g = verify_endomorphism(g)
         if not membership(g).graded_identity:
             raise DecompositionError("graded correction failed")
     # stage 1: strip parallel-maximal-path terms
@@ -441,7 +446,6 @@ def decompose_general(f, degree_cap=32):
             dict((unit_i.value - sub.one()).terms))
     u2 = invert_unit(algebra.one() + block_positive)
     g2 = inner_automorphism(Unit(u2.inverse, u2.value)).compose(g1)
-    g2 = verify_endomorphism(g2)
     for a in sorted(algebra.cycle_arrows()):
         if g2.arrow_images[a] != algebra.arrow(a):
             raise DecompositionError(f"block correction left arrow {a} moved")
@@ -456,7 +460,6 @@ def decompose_general(f, degree_cap=32):
         u3_value = u3_value + g2.vertex_images[v] * algebra.stationary(v)
     u3 = invert_unit(u3_value)
     g3 = inner_automorphism(u3).compose(g2)
-    g3 = verify_endomorphism(g3)
     # stage 3: radical tower
     d_acc, rho, rho_inv, u4_value = _radical_tower(g3)
     # assemble: g = exp(d_acc - d1) o rho o conj(u_final)

@@ -1,10 +1,15 @@
 """Endomorphisms given on generators, derivations, exponential and inner
 automorphisms, and unit inversion.
 
-An endomorphism is stored by its images of stationary paths and arrows; the
-image of a longer path is the product of its arrow images, computed on
-demand.  Certification checks the defining identities of the presentation
-exactly, after which the map is trusted as an algebra endomorphism.
+An endomorphism is stored by its images of stationary paths and arrows.  The
+image of a longer path follows the walk it lies on: it is the image of its
+prefix one arrow shorter times the image of its last arrow, and the prefix
+images are kept for the one call that applies or composes the map.  An inner
+automorphism keeps its unit, and composing with it conjugates each generator
+image instead.  Certification checks the defining identities of the
+presentation exactly, after which the map is trusted as an algebra
+endomorphism; a composite of certified maps and conjugation by a verified
+unit are certified by construction and are not checked again.
 """
 
 from __future__ import annotations
@@ -28,10 +33,11 @@ OTHER = "other"
 
 
 class Endomorphism:
-    """Algebra endomorphism determined by generator images."""
+    """Algebra endomorphism determined by generator images; with `unit` it is
+    conjugation x -> unit.inverse * x * unit.value."""
 
     def __init__(self, algebra, vertex_images, arrow_images, certified=False,
-                 inverse=None):
+                 inverse=None, unit=None):
         self.algebra = algebra
         self.vertex_images = dict(vertex_images)
         self.arrow_images = dict(arrow_images)
@@ -41,7 +47,7 @@ class Endomorphism:
             raise ValueError(f"missing generator images: {sorted(missing)}")
         self.certified = certified
         self.inverse = inverse
-        self._path_cache = {}
+        self.unit = unit
 
     @staticmethod
     def identity(algebra):
@@ -53,33 +59,41 @@ class Endomorphism:
         f.inverse = f
         return f
 
-    def image_of_path(self, path):
-        if path in self._path_cache:
-            return self._path_cache[path]
+    def image_of_path(self, path, memo=None):
+        """Image of a path; `memo` maps arrow tuples to the prefix images
+        already built in the current call."""
         if path.is_stationary:
-            out = self.vertex_images[path.vertex]
-        else:
-            out = self.arrow_images[path.arrows[0]]
-            for a in path.arrows[1:]:
-                out = out * self.arrow_images[a]
-        self._path_cache[path] = out
+            return self.vertex_images[path.vertex]
+        arrows = path.arrows
+        memo = {} if memo is None else memo
+        k = len(arrows)
+        while k > 1 and arrows[:k] not in memo:
+            k -= 1
+        out = memo[arrows[:k]] if k > 1 else self.arrow_images[arrows[0]]
+        for j in range(k, len(arrows)):
+            out = out * self.arrow_images[arrows[j]]
+            memo[arrows[:j + 1]] = out
         return out
 
-    def apply(self, x):
+    def apply(self, x, memo=None):
         if isinstance(x, Path):
-            return self.image_of_path(x)
+            return self.image_of_path(x, memo)
+        if self.unit is not None:
+            return self.unit.inverse * x * self.unit.value
+        memo = {} if memo is None else memo
         out = self.algebra.zero()
         for p, c in x.terms.items():
-            out = out + self.image_of_path(p).scale(c)
+            out = out + self.image_of_path(p, memo).scale(c)
         return out
 
     def _compose_raw(self, other):
         if other.algebra is not self.algebra:
             raise ValueError("endomorphisms of different algebras")
+        memo = {}
         return Endomorphism(
             self.algebra,
-            {v: self.apply(img) for v, img in other.vertex_images.items()},
-            {a: self.apply(img) for a, img in other.arrow_images.items()},
+            {v: self.apply(img, memo) for v, img in other.vertex_images.items()},
+            {a: self.apply(img, memo) for a, img in other.arrow_images.items()},
             certified=self.certified and other.certified)
 
     def compose(self, other):
@@ -482,26 +496,22 @@ def component_algebra(algebra, index):
 
 
 def inner_automorphism(u):
-    """Conjugation by a unit whose degree-zero part is the identity."""
+    """Conjugation by a unit whose degree-zero part is the identity.
+
+    Certified without a check: the unit's two-sided inverse was verified
+    exactly, so x -> u^-1 * x * u is an automorphism with inverse
+    x -> u * x * u^-1.
+    """
     if not isinstance(u, Unit):
         u = invert_unit(u)
     algebra = u.value.algebra
     if u.value.degree_part(0) != algebra.one():
         raise NotAUnitError("conjugation requires a unit congruent to 1 mod positive degree")
-    f = Endomorphism(
+    f, g = (Endomorphism(
         algebra,
-        {v: u.inverse * algebra.stationary(v) * u.value
-         for v in algebra.quiver.vertices},
-        {a: u.inverse * algebra.arrow(a) * u.value
-         for a in algebra.quiver.arrow_by_name})
-    f = verify_endomorphism(f)
-    g = Endomorphism(
-        algebra,
-        {v: u.value * algebra.stationary(v) * u.inverse
-         for v in algebra.quiver.vertices},
-        {a: u.value * algebra.arrow(a) * u.inverse
-         for a in algebra.quiver.arrow_by_name})
-    g = verify_endomorphism(g)
+        {v: w.inverse * algebra.stationary(v) * w.value for v in algebra.quiver.vertices},
+        {a: w.inverse * algebra.arrow(a) * w.value for a in algebra.quiver.arrow_by_name},
+        certified=True, unit=w) for w in (u, Unit(u.inverse, u.value)))
     f.inverse, g.inverse = g, f
     return f
 

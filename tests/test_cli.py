@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from stringalg import _smith
+from stringalg import _smith, decompose
 from stringalg.cli import run
 from stringalg.polymat import MAX_PARSE_DEGREE, PolyMatrix, _pairs
 
 from conftest import (CYCLE_PENDANT, DOUBLED_THREE_CYCLE, KRONECKER,
-                      TWO_CYCLE_REL)
+                      TWO_CYCLE_FREE, TWO_CYCLE_REL)
+from test_compose import wrong_unit_tower
 
 EXAMPLE_MATRIX = """6*x^3 - 4*x^2, -3*x + 2, 9*x^2 - 4
 2*x^2 - 1, -1, 3*x + 2
@@ -142,6 +143,26 @@ def test_decompose_rejects_uncertifiable(files, capsys):
     q = files("q.quiver", TWO_CYCLE_REL)
     m = files("f.map", "map a = 1*a + 1*a.b\n")
     assert run(["decompose", q, m]) == 3
+
+
+def test_decompose_wrong_inner_factor_is_certification_failure(files, capsys, monkeypatch):
+    wrong_unit_tower(monkeypatch)
+    q = files("q.quiver", TWO_CYCLE_REL)
+    m = files("f.map", "map a = 1*a + 2*a.b.a\nmap b = 1*b - 2*b.a.b\n")
+    assert run(["decompose", q, m]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: recomposition does not reproduce the input\n"
+
+
+def test_decompose_intertwiner_above_the_size_cap(files, capsys, monkeypatch):
+    monkeypatch.setattr(decompose, "MAX_INTERTWINER_SIZE", 50)
+    q = files("q.quiver", TWO_CYCLE_FREE)
+    assert run(["decompose", q, files("f.map", "map a = 1*a\n")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: intertwiner: the degree-0 system has 80 entries "
+                            "(rows x unknowns), above the cap of 50\n")
 
 
 def test_smith(files, capsys):

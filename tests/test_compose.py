@@ -1,0 +1,122 @@
+"""Composition along the walk, the conjugation fast path, and the
+certificates the decomposition pipeline no longer re-checks.
+
+A path's image is built from the image of its prefix one arrow shorter,
+reusing the prefixes of the current call; the reference here is the plain
+product of the arrow images.  Maps composed from certified pieces are not
+re-certified inside the pipeline, so every returned factor is certified
+again here, and a wrong factor must still be caught by the exact
+recomposition check.
+"""
+
+import random
+
+import pytest
+
+from stringalg import decompose
+from stringalg.decompose import decompose_general
+from stringalg.errors import DecompositionError
+from stringalg.morphisms import (Endomorphism, inner_automorphism,
+                                 verify_endomorphism)
+
+from conftest import SOURCES, make_algebra
+from factories import (derivation_targets, elementary_unit_paths,
+                       random_graded_identity_automorphism, random_inner)
+from test_acceptance import MIXED_SOURCES, TWO_CYCLES_BRIDGE
+from test_walk_table import _algebras
+
+
+def _arrow_by_arrow(f, path):
+    if path.is_stationary:
+        return f.vertex_images[path.vertex]
+    out = f.arrow_images[path.arrows[0]]
+    for a in path.arrows[1:]:
+        out = out * f.arrow_images[a]
+    return out
+
+
+def _plain(f):
+    """The same generator images, with no unit to take the fast path."""
+    return Endomorphism(f.algebra, f.vertex_images, f.arrow_images,
+                        certified=f.certified)
+
+
+def test_path_images_follow_the_walk():
+    rng = random.Random(307)
+    for name, algebra in _algebras():
+        f = random_graded_identity_automorphism(rng, algebra, pieces=2)
+        basis = algebra.enumerate_basis(8)
+        memo = {}
+        for p in basis:
+            expected = _arrow_by_arrow(f, p)
+            assert f.image_of_path(p) == expected, (name, str(p))
+            assert f.image_of_path(p, memo) == expected, (name, str(p))
+        # the shared memo serves the longest paths again, now from the memo
+        for p in reversed(basis):
+            assert f.image_of_path(p, memo) == _arrow_by_arrow(f, p), (name, str(p))
+
+
+def test_conjugation_fast_path_matches_generic_composite():
+    rng = random.Random(311)
+    for name in ("two_cycle_rel", "cycle_pendant", "cycle_with_diamond", "two_loops"):
+        algebra = make_algebra(SOURCES[name])
+        paths = elementary_unit_paths(algebra)
+        for _ in range(4):
+            f = random_graded_identity_automorphism(rng, algebra, pieces=2)
+            conj = random_inner(rng, algebra, paths)
+            assert conj.unit is not None and conj.inverse.unit is not None
+            plain = _plain(conj)
+            plain.inverse = _plain(conj.inverse)
+            plain.inverse.inverse = plain
+            fast, generic = conj.compose(f), plain.compose(f)
+            assert fast == generic, name
+            assert fast.inverse == generic.inverse, name
+            assert conj.inverse.compose(f) == plain.inverse.compose(f), name
+
+
+def _criterion_5_items(count):
+    """The first `count` automorphisms of the criterion-5 stream (seed 11)."""
+    rng = random.Random(11)
+    pool = []
+    for source in [SOURCES[name] for name in MIXED_SOURCES] + [TWO_CYCLES_BRIDGE]:
+        algebra = make_algebra(source)
+        pool.append((algebra, derivation_targets(algebra),
+                     elementary_unit_paths(algebra)))
+    for i in range(count):
+        algebra, targets, paths = pool[i % len(pool)]
+        yield random_graded_identity_automorphism(
+            rng, algebra, pieces=3, targets=targets, paths=paths)
+
+
+def test_returned_factors_pass_certification():
+    for i, f in enumerate(_criterion_5_items(30)):
+        dec = decompose_general(f)
+        for factor in dec.factors:
+            g = factor.endomorphism
+            verify_endomorphism(g)
+            if g.inverse is not None:
+                verify_endomorphism(g.inverse)
+                assert g.compose(g.inverse).is_identity(), (i, factor.kind)
+
+
+def wrong_unit_tower(monkeypatch):
+    """Make the tower's inner factor conjugate by a unit off by one radical
+    path, so that the factors no longer recompose the input."""
+    tower_factors = decompose._tower_factors
+
+    def wrong(d, rho, u_value):
+        algebra = u_value.algebra
+        twist = next(algebra.one() + algebra.path_element(p)
+                     for p in elementary_unit_paths(algebra)
+                     if not inner_automorphism(
+                         algebra.one() + algebra.path_element(p)).is_identity())
+        return tower_factors(d, rho, u_value * twist)
+
+    monkeypatch.setattr(decompose, "_tower_factors", wrong)
+
+
+def test_wrong_inner_factor_fails_recomposition(monkeypatch):
+    f = next(iter(_criterion_5_items(1)))
+    wrong_unit_tower(monkeypatch)
+    with pytest.raises(DecompositionError, match="recomposition"):
+        decompose_general(f)
