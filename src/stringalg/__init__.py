@@ -4,8 +4,9 @@ Presentations are quivers with monomial relations; the library validates
 the defining overlap conditions, computes maximal-path structure and the
 radical, builds and certifies derivations, exponential and inner
 automorphisms, decomposes graded-identity automorphisms into exponential /
-endpoint-preserving / inner factors, and factors polynomial matrices in the
-triangular-at-zero Smith style that drives the one-cycle case.
+endpoint-preserving / inner factors (each inner unit solved by one linear
+system in the algebra), and factors polynomial matrices in the
+triangular-at-zero Smith style.
 """
 
 from .algebra import Element, PathAlgebra, format_element, parse_element

@@ -5,8 +5,8 @@ presentations.
 The pipeline peels factors off the input one degree level at a time:
 
 1. a "maximal" exponential factor moving arrows by parallel maximal paths,
-2. one inner factor per infinite maximal path, found by solving a
-   commutation system in the block's polynomial-matrix embedding,
+2. one inner factor per infinite maximal path, its unit u solved from the
+   linear system u * f(g) = g * u in the algebra, as in stage 3,
 3. an inner vertex correction followed by a level-by-level tower over the
    radical, yielding a maximal-type exponential, an endpoint-preserving
    factor, and an inner unit.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ._linalg import nullspace, solve_affine
+from ._linalg import solve_affine
 from .errors import (CapExceededError, CertificationError, DecompositionError,
                      ShapeError)
 from .maximal import (component_of_path, is_left_maximal, is_right_maximal,
@@ -33,7 +33,6 @@ from .morphisms import (Derivation, Endomorphism, MAXIMAL, Unit,
                         graded_part, inner_automorphism, invert_graded,
                         invert_unit, make_derivation, membership,
                         verify_endomorphism)
-from .polymat import Poly, PolyMatrix, cycle_embedding, modified_smith, poly_gcd
 from .quiver import Path
 
 EXP_MAXIMAL = "exp-maximal"              # exponential of a maximal-type derivation
@@ -62,10 +61,9 @@ class Decomposition:
     """Ordered factors whose composition reproduces the input exactly."""
 
     factors: tuple
-    residual: Endomorphism
 
     def compose(self):
-        out = self.residual
+        out = Endomorphism.identity(self.factors[0].endomorphism.algebra)
         for factor in reversed(self.factors):
             out = factor.endomorphism.compose(out)
         return out
@@ -124,108 +122,71 @@ def solve_conjugation_unique_max(f, degree_cap=32):
     """Conjugating unit for a graded-identity automorphism of a locally
     gentle algebra with a unique infinite maximal path.
 
-    Transports the commutation condition through the polynomial-matrix
-    embedding, solves for a matrix intertwiner of bounded degree (growing
-    the bound up to degree_cap), factors it through the modified Smith
-    form, and reads the unit off the triangular factors.  The permutation
-    must be trivial and the diagonal constant, or the input was not an
-    automorphism.
+    Solves u * f(g) = g * u in the algebra for u congruent to 1, supported
+    on the paths in which the cycle's last arrow occurs at most d times (the
+    x-degree of the path in the polynomial-matrix embedding), growing d up to
+    degree_cap.  Conjugation fixes u only up to a central unit, and the
+    block's center k[z] has only the scalars as units, so the solution at
+    the least d is unique.  A solution that is not a unit raises
+    NotAUnitError: the input was not an automorphism.
     """
     algebra = f.algebra
     if algebra.is_polynomial_ring:
         raise ShapeError("the one-loop free algebra has no conjugation solver")
+    cycles = algebra.infinite_cycles()
+    if len(cycles) != 1 or set(cycles[0]) != set(algebra.quiver.arrow_by_name):
+        raise ShapeError("algebra must have exactly one maximal path, infinite")
     if not f.certified or not membership(f).graded_identity:
         raise CertificationError("solver requires a certified graded-identity input")
-    emb = cycle_embedding(algebra)
-    images = [(emb.embed(algebra.path_element(g)), emb.embed(f.apply(g)))
-              for g in algebra.generators()]
-    intertwiner = None
+    last, n = cycles[0][-1], len(cycles[0])
     for degree in range(degree_cap + 1):
-        intertwiner = _solve_intertwiner(images, emb.n, degree)
-        if intertwiner is not None:
+        support = [p for p in algebra.enumerate_basis((degree + 1) * n)
+                   if not p.is_stationary and p.arrows.count(last) <= degree]
+        u = _solve_intertwiner(f, support)
+        if u is not None:
             break
-    if intertwiner is None:
+    else:
         raise CapExceededError(
             f"no polynomial intertwiner up to degree {degree_cap}")
-    p = _primitive(intertwiner)
-    if p.determinant().is_zero:
-        raise DecompositionError("intertwiner is singular; input is not an automorphism")
-    fact = modified_smith(p)
-    if fact.sigma != tuple(range(emb.n)):
-        raise DecompositionError("intertwiner forces a nontrivial permutation")
-    diag = [fact.D.entry(i, i) for i in range(emb.n)]
-    if any(d != diag[0] for d in diag):
-        raise DecompositionError("intertwiner forces a nonconstant diagonal ratio")
-    u_elt = emb.preimage(fact.U)
-    v_elt = emb.preimage(fact.V)
-    unit = invert_unit(u_elt * v_elt)
+    unit = invert_unit(u)
     if inner_automorphism(unit) != f:
         raise DecompositionError("conjugation verification failed")
     return unit
 
 
-def _solve_intertwiner(images, n, degree):
-    """Nonzero P over Q[x] of entry degree <= degree with
-    P * embed(f(g)) = embed(g) * P for all generators, or None."""
-    unknowns = n * n * (degree + 1)
-    max_degs = [degree + max(m.entry(i, j).degree for m in pair
-                             for i in range(n) for j in range(n))
-                for pair in images]
-    size = n * n * sum(d + 1 for d in max_degs) * unknowns
+def _solve_intertwiner(f, support):
+    """u = 1 + sum of c_p * p over the support paths with u * f(g) = g * u
+    for every generator g, or None.
+
+    Deterministic: the echelon particular solution of the linear system in
+    the c_p.  Raises CapExceededError before the dense rows are built when
+    rows x unknowns exceeds MAX_INTERTWINER_SIZE.
+    """
+    algebra = f.algebra
+    columns, rhs = {}, {}    # per (generator, path) row: coefficients, right side
+    for k, g in enumerate(algebra.generators()):
+        base = algebra.path_element(g)
+        target = f.apply(base)
+        # the constant part 1 * f(g) - g * 1 goes to the right
+        for p, c in (target - base).terms.items():
+            rhs[k, p] = -c
+        for i, w in enumerate(support):
+            we = algebra.path_element(w)
+            for p, c in (we * target - base * we).terms.items():
+                columns.setdefault((k, p), {})[i] = c
+    keys = list(dict.fromkeys([*columns, *rhs]))
+    size = len(keys) * len(support)
     if size > MAX_INTERTWINER_SIZE:
         raise CapExceededError(
-            f"intertwiner: the degree-{degree} system has {size} entries "
+            f"intertwiner: the system for support paths up to degree "
+            f"{max(p.length for p in support)} has {size} entries "
             f"(rows x unknowns), above the cap of {MAX_INTERTWINER_SIZE}")
-
-    def var(i, j, k):
-        return (i * n + j) * (degree + 1) + k
-
-    rows = []
-    for (before, after), max_deg in zip(images, max_degs):
-        for r in range(n):
-            for c in range(n):
-                for e in range(max_deg + 1):
-                    row = [Fraction(0)] * unknowns
-                    hit = False
-                    for m in range(n):
-                        a_pol = after.entry(m, c)
-                        for k in range(degree + 1):
-                            coeff = a_pol.monomial_coefficient(e - k) if 0 <= e - k <= a_pol.degree else Fraction(0)
-                            if coeff:
-                                row[var(r, m, k)] += coeff
-                                hit = True
-                        b_pol = before.entry(r, m)
-                        for k in range(degree + 1):
-                            coeff = b_pol.monomial_coefficient(e - k) if 0 <= e - k <= b_pol.degree else Fraction(0)
-                            if coeff:
-                                row[var(m, c, k)] -= coeff
-                                hit = True
-                    if hit:
-                        rows.append(row)
-    basis = nullspace(rows, unknowns)
-    if not basis:
+    rows = [[columns.get(key, {}).get(i, 0) for i in range(len(support))]
+            for key in keys]
+    sol = solve_affine(rows, [rhs.get(key, 0) for key in keys])
+    if sol is None:
         return None
-    vec = basis[0]
-    entries = [[Poly(vec[var(i, j, k)] for k in range(degree + 1)) for j in range(n)]
-               for i in range(n)]
-    return PolyMatrix(entries)
-
-
-def _primitive(m):
-    """Divide out the monic polynomial content and normalize the sign."""
-    content = Poly()
-    for row in m.rows:
-        for e in row:
-            if e:
-                content = poly_gcd(content, e) if content else e
-    if content.is_zero:
-        return m
-    content = content * (Fraction(1) / content.coeffs[-1])
-    out = PolyMatrix([[e.exact_div(content) if e else e for e in row] for row in m.rows])
-    lead = next(e for row in out.rows for e in row if e)
-    if lead.coeffs[-1] < 0:
-        out = out.scale(-1)
-    return out
+    return algebra.one() + algebra.element(dict(zip(support, sol)))
 
 
 # -- stage 3: the level tower over the radical ----------------------------------
@@ -235,7 +196,7 @@ def _radical_tower(f):
     """Stage 3: peel f (vertex fixing, arrows moved inside the radical)
     level by level.
 
-    Returns (d, rho, rho_inverse, u) with f = exp(d) o rho o conj(u) exactly;
+    Returns (d, rho, u) with f = exp(d) o rho o conj(u) exactly;
     d is a maximal-type derivation, rho a composition of cycle-type
     exponentials carrying its inverse, and u a unit congruent to 1.  When
     rho is itself inner, it is absorbed into u and returned as the identity.
@@ -252,7 +213,6 @@ def _radical_tower(f):
             raise DecompositionError(f"image of {a} moves an infinite-maximal-path block")
     d_acc = make_derivation(algebra, [])
     rho = Endomorphism.identity(algebra)
-    rho_inv = Endomorphism.identity(algebra)
     u_acc = algebra.one()
     current = f
     while True:
@@ -298,7 +258,6 @@ def _radical_tower(f):
             step = exponentiate(d_step)
             current = step.compose(current)
             rho = rho.compose(step.inverse)
-            rho_inv = step.compose(rho_inv)
             u_acc = step.apply(u_acc)
         # stage C: the rest of the level must be left maximal; exponentiate away
         m_assign = []
@@ -332,49 +291,18 @@ def _radical_tower(f):
         match = _solve_inner_match(rho)
         if match is not None:
             u_acc = u_acc * match.value
-            rho = rho_inv = Endomorphism.identity(algebra)
-    return d_acc, rho, rho_inv, u_acc
+            rho = Endomorphism.identity(algebra)
+    return d_acc, rho, u_acc
 
 
 def _solve_inner_match(rho):
-    """Unit u congruent to 1 with conjugation by u equal to rho, or None.
-
-    Looks for u supported on 1 + radical paths by solving the linear system
-    u * rho(g) = g * u over the rationals; deterministic via the echelon
-    particular solution.
-    """
-    algebra = rho.algebra
-    support = list(algebra.radical_paths())
-    if not support:
-        return None if not rho.is_identity() else invert_unit(algebra.one())
-    index = {p: i for i, p in enumerate(support)}
-    rows, rhs = [], []
-    gens = algebra.generators()
-    for g in gens:
-        target = rho.apply(algebra.path_element(g))
-        base = algebra.path_element(g)
-        # constant part: 1 * rho(g) - g * 1
-        const = target - base
-        coeffs = {}
-        for i, w in enumerate(support):
-            we = algebra.path_element(w)
-            diff = we * target - base * we
-            for p, c in diff.terms.items():
-                coeffs.setdefault(p, [Fraction(0)] * len(support))[i] += c
-        for p, c in const.terms.items():
-            coeffs.setdefault(p, [Fraction(0)] * len(support))
-        for p, row in sorted(coeffs.items()):
-            rows.append(row)
-            rhs.append(-const.coefficient(p))
-    sol = solve_affine(rows, rhs)
-    if sol is None:
+    """Unit u congruent to 1 with conjugation by u equal to rho, or None,
+    solved on 1 + the radical paths."""
+    u = _solve_intertwiner(rho, rho.algebra.radical_paths())
+    if u is None:
         return None
-    u = algebra.one() + algebra.element(
-        {p: sol[i] for p, i in index.items()})
     unit = invert_unit(u)
-    if inner_automorphism(unit) != rho:
-        return None
-    return unit
+    return unit if inner_automorphism(unit) == rho else None
 
 
 # -- public pipeline -------------------------------------------------------------
@@ -393,9 +321,7 @@ def decompose_string(f):
     if not flags.fixes_vertices or not flags.graded_identity:
         raise CertificationError(
             "decompose_string requires a vertex-fixing graded-identity input")
-    d, rho, _, u_value = _radical_tower(f)
-    return _verified(Decomposition(_tower_factors(d, rho, u_value),
-                                   Endomorphism.identity(algebra)), f)
+    return _verified(Decomposition(_tower_factors(*_radical_tower(f))), f)
 
 
 def _tower_factors(d, rho, u_value):
@@ -445,7 +371,7 @@ def decompose_general(f, degree_cap=32):
         block_positive = block_positive + algebra.element(
             dict((unit_i.value - sub.one()).terms))
     u2 = invert_unit(algebra.one() + block_positive)
-    g2 = inner_automorphism(Unit(u2.inverse, u2.value)).compose(g1)
+    g2 = inner_automorphism(u2).inverse.compose(g1)
     for a in sorted(algebra.cycle_arrows()):
         if g2.arrow_images[a] != algebra.arrow(a):
             raise DecompositionError(f"block correction left arrow {a} moved")
@@ -461,14 +387,14 @@ def decompose_general(f, degree_cap=32):
     u3 = invert_unit(u3_value)
     g3 = inner_automorphism(u3).compose(g2)
     # stage 3: radical tower
-    d_acc, rho, rho_inv, u4_value = _radical_tower(g3)
+    d_acc, rho, u4_value = _radical_tower(g3)
     # assemble: g = exp(d_acc - d1) o rho o conj(u_final)
     d_total = d_acc.plus(d1.negated())
     w = u3.inverse * u2.value
     exp_acc_inv = exponentiate(d_acc).inverse
-    u_final_value = u4_value * rho_inv.apply(exp_acc_inv.apply(w))
+    u_final_value = u4_value * rho.inverse.apply(exp_acc_inv.apply(w))
     factors.extend(_tower_factors(d_total, rho, u_final_value))
-    return _verified(Decomposition(tuple(factors), Endomorphism.identity(algebra)), f)
+    return _verified(Decomposition(tuple(factors)), f)
 
 
 def _restrict_to_block(f, index, sub):

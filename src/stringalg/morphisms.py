@@ -409,6 +409,14 @@ class Unit:
         if self.value * self.inverse != one or self.inverse * self.value != one:
             raise NotAUnitError("inverse verification failed")
 
+    def swapped(self):
+        """The unit u^-1 with inverse u, not checked again: the verified
+        identity u * u^-1 = u^-1 * u = 1 is symmetric."""
+        out = object.__new__(Unit)
+        object.__setattr__(out, "value", self.inverse)
+        object.__setattr__(out, "inverse", self.value)
+        return out
+
 
 def geometric_inverse(y, bound=None):
     """Inverse of 1 + y for nilpotent y, by the terminating geometric series."""
@@ -511,7 +519,7 @@ def inner_automorphism(u):
         algebra,
         {v: w.inverse * algebra.stationary(v) * w.value for v in algebra.quiver.vertices},
         {a: w.inverse * algebra.arrow(a) * w.value for a in algebra.quiver.arrow_by_name},
-        certified=True, unit=w) for w in (u, Unit(u.inverse, u.value)))
+        certified=True, unit=w) for w in (u, u.swapped()))
     f.inverse, g.inverse = g, f
     return f
 

@@ -255,15 +255,6 @@ def _poly_normalize(den, nums):
     return den, tuple(nums)
 
 
-def poly_gcd(a, b):
-    """Monic greatest common divisor over the rationals."""
-    while not b.is_zero:
-        a, b = b, divmod(a, b)[1]
-    if a.is_zero:
-        return a
-    return a * (Fraction(1) / a.coeffs[-1])
-
-
 class PolyMatrix:
     """Square matrix over Q[x] with value semantics."""
 

@@ -156,13 +156,14 @@ def test_decompose_wrong_inner_factor_is_certification_failure(files, capsys, mo
 
 
 def test_decompose_intertwiner_above_the_size_cap(files, capsys, monkeypatch):
-    monkeypatch.setattr(decompose, "MAX_INTERTWINER_SIZE", 50)
+    monkeypatch.setattr(decompose, "MAX_INTERTWINER_SIZE", 3)
     q = files("q.quiver", TWO_CYCLE_FREE)
     assert run(["decompose", q, files("f.map", "map a = 1*a\n")]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: intertwiner: the degree-0 system has 80 entries "
-                            "(rows x unknowns), above the cap of 50\n")
+    assert captured.err == ("error: intertwiner: the system for support paths up to "
+                            "degree 1 has 4 entries (rows x unknowns), above the "
+                            "cap of 3\n")
 
 
 def test_smith(files, capsys):

@@ -16,8 +16,8 @@ import pytest
 from stringalg import decompose
 from stringalg.decompose import decompose_general
 from stringalg.errors import DecompositionError
-from stringalg.morphisms import (Endomorphism, inner_automorphism,
-                                 verify_endomorphism)
+from stringalg.morphisms import (Endomorphism, Unit, inner_automorphism,
+                                 invert_unit, verify_endomorphism)
 
 from conftest import SOURCES, make_algebra
 from factories import (derivation_targets, elementary_unit_paths,
@@ -72,6 +72,20 @@ def test_conjugation_fast_path_matches_generic_composite():
             assert fast == generic, name
             assert fast.inverse == generic.inverse, name
             assert conj.inverse.compose(f) == plain.inverse.compose(f), name
+
+
+def test_inner_automorphism_does_not_check_its_unit_again(monkeypatch):
+    algebra = make_algebra(SOURCES["two_cycle_rel"])
+    unit = invert_unit(algebra.one() + algebra.parse_element("2*a.b"))
+    checked = []
+    post_init = Unit.__post_init__
+    monkeypatch.setattr(Unit, "__post_init__",
+                        lambda self: checked.append(self) or post_init(self))
+    f = inner_automorphism(unit)
+    assert checked == []
+    assert f.unit is unit
+    assert (f.inverse.unit.value, f.inverse.unit.inverse) == (unit.inverse, unit.value)
+    assert f.compose(f.inverse).is_identity()
 
 
 def _criterion_5_items(count):

@@ -1,0 +1,115 @@
+"""Pinned outputs of the conjugation solver and the decomposition pipeline.
+
+Each digest is the SHA-256 of one output's text: the `format_element` of a
+unit from `solve_conjugation_unique_max`, or the rendered factors of a
+`decompose_general` result (kind, triviality, and the unit or the map).
+The inputs are the seeded streams of `test_solver_on_random_inners` and the
+first 30 mixed items of acceptance criterion 5, so any change in which unit
+or which factors the pipeline returns shows here."""
+
+import hashlib
+import random
+
+from stringalg import format_element
+from stringalg.decompose import decompose_general, solve_conjugation_unique_max
+from stringalg.morphisms import format_endomorphism
+
+from conftest import SOURCES, make_algebra
+from factories import elementary_unit_paths, random_inner
+from test_compose import _criterion_5_items
+
+SOLVER_UNIT_GOLDENS = [
+    "7d5c1dd6d3807d7f3af0e1c2bf5b1d96b3c58532c2072ec2f9a5840ab17d1cb6",
+    "7314312e1a700d1ed95d063812841818ac460e9ab602a3b7f6990e19a34d205e",
+    "aaa9c0a6c1e04c690ba5b900ec512e448c29d53f3e2377f33022e529905767fe",
+    "f57e95f812fb178f78f1dcca74fdde7f1fdade59f3ced7a874e854f1e4753b5e",
+    "2e68aaeab8626dc5f97c2421167a8c688dbbf395fe03b4b30868dcf3e3a065be",
+    "b224deb5465bd9b34b3e5ee09d73170bc0164c6c97a31f08b3a958d8edf34fd2",
+    "14535e79a2eaa8033c66330f343372f1fdbdb3bd03778985e741c3de447323d6",
+    "03af5cf4856c8901e1557b8d06ec5887dbf503113ef8d46e5ee927420ed3e7d0",
+    "c31c235cc972e321f48bb938985f5b78d66808d3eb25dcbe83586c724fe045aa",
+    "aa7c6e04a8d559abaf455f391e3d1435083a5cb661b72632716c3159bd570841",
+    "837e66e01132c6c76d52ca9fb867116ecefe20229d2533802dbf814c835fe460",
+    "385a959edfbc3855826193493088b875d6c533f0afcd81f81d0ef368f3d22a61",
+    "834447e276346a1c174257f1e661775095ae3eecceabb5bf9b510aed046052b6",
+    "1fa0762c1954c783a77aa14d979d39cb0dd629958e80df969f7887f116e34990",
+    "1843388a6d8bb3b4c565361b10614e4d25466011b3abadb28add1e071e939002",
+    "de7e4e5dafe2dbc5b5ebce16f7e030a8ca9a817f6ca13af27f159ef634fbc687",
+    "b2cd8d52bd9570bb45b1562c063e5ed60f411908ede2fa97bccbf278169dc980",
+    "b96f8689ddf795299fb1263c0dbe079489c1c55eae7701ebe404ba8e27e81b3d",
+    "b96f8689ddf795299fb1263c0dbe079489c1c55eae7701ebe404ba8e27e81b3d",
+    "31aa531047e9db13bb5a0a5445ef50fc7ef9fb9e1ff2d6fdae7beeaa85a305c7",
+    "96f91891f0ff29942ed8610cea2f9de9e19e84d2bfc85938cacc1a8c65126a76",
+    "b2cd8d52bd9570bb45b1562c063e5ed60f411908ede2fa97bccbf278169dc980",
+    "3cb29640d61cfef2343c6ca78b7fa5f11fc9f89e7aa674566bf2a38ccb3bbc34",
+    "b2fbed8311ef78409cb15142713afe83b3781bf1bd8df7c441047a083721d211",
+]
+
+DECOMPOSITION_GOLDENS = [
+    "4607354b50c29f9c4787a957355bb754dc966fe07f4f126095b5d71636256aa9",
+    "6ea1b25ac7c9b11f4bad6515d77c5a2d453f07fb581cd841f41bad8cbbfc299e",
+    "11bbd09cbb4a68796f6719e8ed186496a1a7b38401d26b36e034d8d8639563c1",
+    "dbfd3a0936097fcc56d50a82d7bce7d238095b73f69ddf7bf1c5524ed2252767",
+    "886fbf26784e8ed67d0b842a21e9ea982b54cc57fe7af0e2912e9e350764f7ad",
+    "fa30b0fe7a42923a717a82741d1d95a71a795da8a8ec02e1d2f404c49b83108a",
+    "38d2fbae8424fc5425523c5b213f80295af81bfe537a9f59b2fa0998c2469896",
+    "46d63441a385d86c56a2cb87e493e859c1e21a22d04c34050a40e8e989fbc54e",
+    "bf5ec2a40a0886a1f37953b74aff9a7e6873d65fe8dd889a06a07a3cc8085863",
+    "e00b743fe63fdc4feb2123e842a65a39d11f85530cbc68296c5661f1b4e7eaa9",
+    "3921034612e5fc3960829998b780724181ebc2c8d5084bb015df7b9ca38405b3",
+    "8289d8298c1eaf994e8018608c394a4d66524959fe36ff56680f1c7f63529546",
+    "b7fced1325a2b9856220f03cccbedffc3d3e7f22b40214e7bcd4a2b20ebb6710",
+    "d4856d12c9c456dd6577f3890f7c906d5358405866158f19eef4989b916d7bab",
+    "d8f6018fab73908581b920516991cad768286daf83cc6b866364fed72deacf12",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "388fc5d977904025937bed9bd6628e2f5cefa8790f64aff6ac432a12a6321772",
+    "6771bd561e555a2b11d2fd32bc2279a0749c5aaa3aef24810ead25be69b2b521",
+    "4550c61b96db4d5508d9dd0312eb0fe62c9661f9c87d13d396adaeada3bfd7af",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "8a4e2de76ce5a0fa2e2942aa7c9feebb1687cec3c0f06ba6a931aea5b0354ce5",
+    "f6afccbf178a1eb47897f8e532b0f25c6d6defc9771218727531fc0a337d0c05",
+    "cdf4e9d50277742a36133e5ae7122ce39671c0056cea54ab1321fe5cfd5a7387",
+    "2fe205a280775aca4d3030c15d90e7229b5be26071361b0e2a83efd033c629a0",
+    "d4a53407cd4c90defb9a52fb4919003da2c3b6bad2a5143de2900fd65cd336e1",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "80b9d78c85d3414cdfa2d2485478ededfd8b31d76eeca48ab7e1b66d30b03bf7",
+    "c40fefbef376688894fceb7687394e88b224bca6250cc993a118bf0db236967d",
+    "6c920d02975f530be5c5b187aa8dcb851ed79f6dc6a8ea0a786019300d232c85",
+    "50fc154988e7085310425523ae3077212e264851382ee8e51b8f8807619b318e",
+]
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def solver_unit_texts():
+    """The units of test_solver_on_random_inners, in order."""
+    rng = random.Random(9)
+    for name in ("two_cycle_free", "three_cycle_free", "two_loops"):
+        algebra = make_algebra(SOURCES[name])
+        paths = elementary_unit_paths(algebra)
+        for _ in range(8):
+            unit = solve_conjugation_unique_max(random_inner(rng, algebra, paths))
+            yield format_element(unit.value)
+
+
+def decomposition_texts():
+    """The rendered decompositions of the first 30 criterion-5 mixed items."""
+    for f in _criterion_5_items(30):
+        lines = []
+        for factor in decompose_general(f).factors:
+            lines.append(f"factor {factor.kind} trivial={factor.is_trivial}")
+            if factor.unit is not None:
+                lines.append(f"unit {format_element(factor.unit.value)}")
+            elif not factor.is_trivial:
+                lines.append(format_endomorphism(factor.endomorphism))
+        yield "\n".join(lines)
+
+
+def test_solver_units_are_pinned():
+    assert [_digest(t) for t in solver_unit_texts()] == SOLVER_UNIT_GOLDENS
+
+
+def test_decompositions_are_pinned():
+    assert [_digest(t) for t in decomposition_texts()] == DECOMPOSITION_GOLDENS
