@@ -1,7 +1,6 @@
-"""Exact Gaussian elimination over the rationals.
-
-Small dense systems only; everything here is deterministic so that solver
-output can be pinned in golden tests.
+"""Exact sparse Gaussian elimination over the rationals: a row is a dict
+{column: value} of its nonzero entries, and elimination touches only those.
+The reduced echelon form is unique, so results can be pinned in goldens.
 """
 
 from __future__ import annotations
@@ -10,68 +9,64 @@ from fractions import Fraction
 
 
 def _rref(rows, ncols):
-    """Reduced row echelon form in place; returns pivot column list."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+    """Reduced echelon form {pivot column: row scaled to 1 there} of sparse
+    rows, consuming them: each row is reduced at its lowest nonzero column
+    against the pivots found so far, then back-substitution clears the pivot
+    columns.  None when a row reduces to entries at columns >= ncols only (a
+    right-hand side kept there that cannot be met)."""
+    pivots = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            if c in pivots:
+                _eliminate(row, c, pivots[c])
+                continue
+            if c >= ncols:
+                return None
+            inv = Fraction(1) / row[c]
+            pivots[c] = {j: v * inv for j, v in row.items()}
             break
+    for c in sorted(pivots, reverse=True):
+        for row in pivots.values():
+            if c in row and row is not pivots[c]:
+                _eliminate(row, c, pivots[c])
     return pivots
 
 
+def _eliminate(row, c, pivot):
+    """row -= row[c] * pivot, dropping the entries that cancel."""
+    f = row[c]
+    for j, v in pivot.items():
+        x = row.get(j, 0) - f * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
 def nullspace(rows, ncols):
-    """Basis of the solution space of the homogeneous system rows * x = 0."""
-    work = [[Fraction(x) for x in row] for row in rows if any(row)]
-    pivots = _rref(work, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -work[r][free]
-        basis.append(vec)
-    return basis
+    """Basis of the solution space of rows * x = 0, for dense rows."""
+    pivots = _rref([{j: v for j, v in enumerate(row) if v} for row in rows], ncols)
+    return [[-pivots[c].get(free, Fraction(0)) if c in pivots else Fraction(c == free)
+             for c in range(ncols)] for free in range(ncols) if free not in pivots]
 
 
-def solve_affine(rows, rhs):
-    """Particular solution of rows * x = rhs with free variables set to 0.
-
-    Returns None when the system is inconsistent.  Deterministic: the
-    solution comes from the reduced echelon form of the augmented matrix.
-    """
-    ncols = len(rows[0]) if rows else 0
-    work = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    work = [row for row in work if any(row)]
-    pivots = _rref(work, ncols + 1)
-    if ncols in pivots:
+def solve_affine(rows, ncols):
+    """Particular solution, free variables set to 0, of the sparse system
+    with its unknowns at columns < ncols and its right-hand side at column
+    ncols; None when the system is inconsistent."""
+    pivots = _rref([{j: v for j, v in row.items() if v} for row in rows], ncols)
+    if pivots is None:
         return None
-    sol = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = work[r][ncols]
-    return sol
+    return [pivots[c].get(ncols, Fraction(0)) if c in pivots else Fraction(0)
+            for c in range(ncols)]
 
 
 def matrix_inverse(rows):
-    """Inverse of a square rational matrix, or None when singular."""
+    """Inverse of a square dense rational matrix, or None when singular."""
     n = len(rows)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(rows)]
-    pivots = _rref(work, 2 * n)
-    if pivots[:n] != list(range(n)):
+    pivots = _rref([{**{j: v for j, v in enumerate(row) if v}, n + i: 1}
+                    for i, row in enumerate(rows)], n)
+    if pivots is None:
         return None
-    return [row[n:] for row in work[:n]]
+    return [[pivots[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]

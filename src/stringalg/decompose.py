@@ -139,51 +139,56 @@ def solve_conjugation_unique_max(f, degree_cap=32):
     if not f.certified or not membership(f).graded_identity:
         raise CertificationError("solver requires a certified graded-identity input")
     last, n = cycles[0][-1], len(cycles[0])
+    memo = {}
     for degree in range(degree_cap + 1):
         support = [p for p in algebra.enumerate_basis((degree + 1) * n)
                    if not p.is_stationary and p.arrows.count(last) <= degree]
-        u = _solve_intertwiner(f, support)
+        u = _solve_intertwiner(f, support, memo)
         if u is not None:
             break
     else:
         raise CapExceededError(
-            f"no polynomial intertwiner up to degree {degree_cap}")
+            f"intertwiner: no polynomial intertwiner up to degree {degree_cap}")
     unit = invert_unit(u)
     if inner_automorphism(unit) != f:
         raise DecompositionError("conjugation verification failed")
     return unit
 
 
-def _solve_intertwiner(f, support):
+def _solve_intertwiner(f, support, memo):
     """u = 1 + sum of c_p * p over the support paths with u * f(g) = g * u
     for every generator g, or None.
 
-    Deterministic: the echelon particular solution of the linear system in
-    the c_p.  Raises CapExceededError before the dense rows are built when
-    rows x unknowns exceeds MAX_INTERTWINER_SIZE.
+    Deterministic: the echelon particular solution of the sparse system in
+    the c_p, in support order.  memo keeps g, f(g) and w * f(g) - g * w per
+    generator g and support path w for the calls of one solve.  Raises
+    CapExceededError before solving when rows x unknowns exceeds
+    MAX_INTERTWINER_SIZE.
     """
     algebra = f.algebra
-    columns, rhs = {}, {}    # per (generator, path) row: coefficients, right side
+    n = len(support)
+    rows = {}    # per (generator, path): {unknown, or n for the right side: coefficient}
     for k, g in enumerate(algebra.generators()):
-        base = algebra.path_element(g)
-        target = f.apply(base)
+        if g not in memo:
+            base = algebra.path_element(g)
+            memo[g] = base, f.apply(base), {}
+        base, target, products = memo[g]
         # the constant part 1 * f(g) - g * 1 goes to the right
         for p, c in (target - base).terms.items():
-            rhs[k, p] = -c
+            rows.setdefault((k, p), {})[n] = -c
         for i, w in enumerate(support):
-            we = algebra.path_element(w)
-            for p, c in (we * target - base * we).terms.items():
-                columns.setdefault((k, p), {})[i] = c
-    keys = list(dict.fromkeys([*columns, *rhs]))
-    size = len(keys) * len(support)
+            if w not in products:
+                we = algebra.path_element(w)
+                products[w] = (we * target - base * we).terms
+            for p, c in products[w].items():
+                rows.setdefault((k, p), {})[i] = c
+    size = len(rows) * n
     if size > MAX_INTERTWINER_SIZE:
         raise CapExceededError(
             f"intertwiner: the system for support paths up to degree "
             f"{max(p.length for p in support)} has {size} entries "
             f"(rows x unknowns), above the cap of {MAX_INTERTWINER_SIZE}")
-    rows = [[columns.get(key, {}).get(i, 0) for i in range(len(support))]
-            for key in keys]
-    sol = solve_affine(rows, [rhs.get(key, 0) for key in keys])
+    sol = solve_affine(list(rows.values()), n)
     if sol is None:
         return None
     return algebra.one() + algebra.element(dict(zip(support, sol)))
@@ -298,7 +303,7 @@ def _radical_tower(f):
 def _solve_inner_match(rho):
     """Unit u congruent to 1 with conjugation by u equal to rho, or None,
     solved on 1 + the radical paths."""
-    u = _solve_intertwiner(rho, rho.algebra.radical_paths())
+    u = _solve_intertwiner(rho, rho.algebra.radical_paths(), {})
     if u is None:
         return None
     unit = invert_unit(u)

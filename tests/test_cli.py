@@ -166,6 +166,19 @@ def test_decompose_intertwiner_above_the_size_cap(files, capsys, monkeypatch):
                             "cap of 3\n")
 
 
+def test_decompose_intertwiner_above_the_degree_cap(files, capsys):
+    # conjugation by 1 + 2*b.a.b needs support paths of x-degree 2
+    q = files("q.quiver", TWO_CYCLE_FREE)
+    m = files("f.map", "map e_1 = 1*e_1 - 2*b.a.b\nmap e_2 = 1*e_2 + 2*b.a.b\n"
+                       "map a = 1*a + 2*a.b.a.b - 2*b.a.b.a - 4*b.a.b.a.b.a.b\n")
+    assert run(["--cap-degree", "1", "decompose", q, m]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: intertwiner: no polynomial intertwiner up to "
+                            "degree 1\n")
+    assert run(["--cap-degree", "2", "decompose", q, m]) == 0
+
+
 def test_smith(files, capsys):
     m = files("m.mat", EXAMPLE_MATRIX)
     assert run(["smith", m]) == 0

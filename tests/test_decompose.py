@@ -8,7 +8,8 @@ from stringalg import parse_quiver
 from stringalg.decompose import (ENDPOINT_PRESERVING, EXP_MAXIMAL, GRADED,
                                  INNER, decompose_general, decompose_string,
                                  outer_class, peel_maximal,
-                                 solve_conjugation_unique_max, _solve_inner_match)
+                                 solve_conjugation_unique_max, _solve_inner_match,
+                                 _solve_intertwiner)
 from stringalg.errors import (CapExceededError, CertificationError,
                               DecompositionError, ShapeError)
 from stringalg.maximal import parallel_maximal
@@ -144,6 +145,30 @@ def test_solver_on_random_inners():
             f = random_inner(rng, algebra, paths)
             unit = solve_conjugation_unique_max(f)
             assert inner_automorphism(unit) == f, name
+
+
+def test_solver_memo_matches_fresh_solves():
+    # the memo shared by the degrees of one solve changes no degree's answer
+    # and leaves nothing on the map
+    rng = random.Random(17)
+    for name in ("two_cycle_free", "three_cycle_free", "two_loops"):
+        algebra = make_algebra(SOURCES[name])
+        paths = elementary_unit_paths(algebra)
+        cycle = algebra.infinite_cycles()[0]
+        for _ in range(4):
+            f = random_inner(rng, algebra, paths)
+            before = dict(vars(f))
+            unit = solve_conjugation_unique_max(f)
+            assert vars(f) == before and all(vars(f)[k] is v for k, v in before.items())
+            memo = {}
+            for degree in range(33):
+                support = [p for p in algebra.enumerate_basis((degree + 1) * len(cycle))
+                           if not p.is_stationary and p.arrows.count(cycle[-1]) <= degree]
+                fresh = _solve_intertwiner(f, support, {})
+                assert _solve_intertwiner(f, support, memo) == fresh, (name, degree)
+                if fresh is not None:
+                    assert invert_unit(fresh).value == unit.value, name
+                    break
 
 
 def test_solver_rejects_polynomial_ring(poly_ring):
