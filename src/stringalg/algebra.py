@@ -172,6 +172,12 @@ class PathAlgebra:
             self._cache["cycles"] = surviving_cycles(self.quiver, self.relations)
         return self._cache["cycles"]
 
+    def x_degree(self, path):
+        """How many times a basis path passes the closing arrow of a
+        surviving cycle.  Additive under nonzero products: a path with a
+        cycle arrow stays on that cycle, whose powers it counts."""
+        return sum(path.arrows.count(cyc[-1]) for cyc in self.infinite_cycles())
+
     def cycle_arrows(self):
         if "cycle_arrows" not in self._cache:
             self._cache["cycle_arrows"] = frozenset(

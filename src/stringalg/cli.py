@@ -14,7 +14,7 @@ from .algebra import PathAlgebra, format_element
 from .decompose import decompose_general, outer_class
 from .errors import (BoundExceededError, CapExceededError, CertificationError,
                      DecompositionError, DerivationError, NotAUnitError,
-                     NotInImageError, NotInvertibleError, StringAlgError)
+                     StringAlgError)
 from .maximal import classify_maximal, degree_zero_center_dimension, radical_basis
 from .morphisms import (exponentiate, format_endomorphism, inner_automorphism,
                         invert_unit, parse_derivation, parse_endomorphism,
@@ -27,8 +27,7 @@ INVALID_INPUT = 2
 CERTIFICATION_FAILURE = 3
 CAP_EXHAUSTED = 4
 
-_CERT = (CertificationError, DerivationError, NotAUnitError, NotInImageError,
-         NotInvertibleError, DecompositionError)
+_CERT = (CertificationError, DerivationError, NotAUnitError, DecompositionError)
 _CAPS = (BoundExceededError, CapExceededError)
 # every other library error, an unreadable file and one that is not UTF-8
 _INVALID = (StringAlgError, OSError, UnicodeDecodeError)

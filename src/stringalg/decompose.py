@@ -24,16 +24,16 @@ from fractions import Fraction
 from typing import Optional
 
 from ._linalg import solve_affine
+from .algebra import PathAlgebra
 from .errors import (CapExceededError, CertificationError, DecompositionError,
-                     ShapeError)
+                     InvariantError, ShapeError)
 from .maximal import (component_of_path, is_left_maximal, is_right_maximal,
                       parallel_maximal)
-from .morphisms import (Derivation, Endomorphism, MAXIMAL, Unit,
-                        component_algebra, exponentiate, geometric_inverse,
-                        graded_part, inner_automorphism, invert_graded,
-                        invert_unit, make_derivation, membership,
-                        verify_endomorphism)
-from .quiver import Path
+from .morphisms import (Derivation, Endomorphism, MAXIMAL, Unit, exponentiate,
+                        geometric_inverse, graded_part, inner_automorphism,
+                        invert_graded, invert_unit, make_derivation,
+                        membership, verify_endomorphism)
+from .quiver import AlgebraPresentation, Path, Quiver, RelationSet
 
 EXP_MAXIMAL = "exp-maximal"              # exponential of a maximal-type derivation
 ENDPOINT_PRESERVING = "endpoint-preserving"   # generated by cycle-type exponentials
@@ -123,11 +123,11 @@ def solve_conjugation_unique_max(f, degree_cap=32):
     gentle algebra with a unique infinite maximal path.
 
     Solves u * f(g) = g * u in the algebra for u congruent to 1, supported
-    on the paths in which the cycle's last arrow occurs at most d times (the
-    x-degree of the path in the polynomial-matrix embedding), growing d up to
-    degree_cap.  Conjugation fixes u only up to a central unit, and the
-    block's center k[z] has only the scalars as units, so the solution at
-    the least d is unique.  A solution that is not a unit raises
+    on the paths of x-degree at most d (how many times a path passes the
+    cycle's closing arrow, `PathAlgebra.x_degree`), growing d up to degree_cap.
+    Conjugation fixes u only up to a central unit, and the block's center
+    k[z] has only the scalars as units, so the solution at the least d is
+    unique.  A solution that is not a unit raises
     NotAUnitError: the input was not an automorphism.
     """
     algebra = f.algebra
@@ -138,11 +138,11 @@ def solve_conjugation_unique_max(f, degree_cap=32):
         raise ShapeError("algebra must have exactly one maximal path, infinite")
     if not f.certified or not membership(f).graded_identity:
         raise CertificationError("solver requires a certified graded-identity input")
-    last, n = cycles[0][-1], len(cycles[0])
+    n = len(cycles[0])
     memo = {}
     for degree in range(degree_cap + 1):
         support = [p for p in algebra.enumerate_basis((degree + 1) * n)
-                   if not p.is_stationary and p.arrows.count(last) <= degree]
+                   if not p.is_stationary and algebra.x_degree(p) <= degree]
         u = _solve_intertwiner(f, support, memo)
         if u is not None:
             break
@@ -400,6 +400,29 @@ def decompose_general(f, degree_cap=32):
     u_final_value = u4_value * rho.inverse.apply(exp_acc_inv.apply(w))
     factors.extend(_tower_factors(d_total, rho, u_final_value))
     return _verified(Decomposition(tuple(factors)), f)
+
+
+def component_algebra(algebra, index):
+    """Standalone presentation of one infinite-maximal-path block."""
+    key = ("component_algebra", index)
+    if key in algebra._cache:
+        return algebra._cache[key]
+    cyc = algebra.infinite_cycles()[index]
+    names = set(cyc)
+    q = algebra.quiver
+    vertices = sorted({q.source(a) for a in names} | {q.target(a) for a in names})
+    arrows = [(a.name, a.source, a.target)
+              for a in q.arrows if a.name in names]
+    gens = [g for g in algebra.relations if set(g.arrows) <= names]
+    sub_quiver = Quiver(vertices, arrows)
+    pres = AlgebraPresentation.build(sub_quiver, RelationSet(sub_quiver, gens))
+    if pres.classification != "locally-gentle":
+        raise InvariantError(
+            "component algebra",
+            f"infinite-maximal-path block is {pres.classification}, not locally gentle")
+    sub = PathAlgebra(pres, max_path_length=algebra.max_path_length)
+    algebra._cache[key] = sub
+    return sub
 
 
 def _restrict_to_block(f, index, sub):

@@ -60,10 +60,6 @@ class NotAUnitError(StringAlgError):
     """Element has no two-sided inverse; names the failing component."""
 
 
-class NotInImageError(StringAlgError):
-    """Polynomial matrix lies outside the embedded subalgebra."""
-
-
 class NotInvertibleError(StringAlgError):
     """Polynomial matrix has no inverse over the polynomial ring."""
 

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CapExceededError, CertificationError, DerivationError,
-                     InvariantError, NotAUnitError, NotInvertibleError, ShapeError)
+                     NotAUnitError, ShapeError)
 from ._linalg import matrix_inverse
-from .algebra import Element, PathAlgebra, format_element
+from .algebra import Element, format_element
 from .maximal import (classify_maximal, component_of_path, is_left_maximal,
                       is_right_maximal, parallel_maximal)
-from .quiver import AlgebraPresentation, Path, Quiver, RelationSet, _read_map
+from .quiver import Path, _read_map
 
 # derivation type tags
 CYCLE = "cycle"          # arrow -> combination of returning paths through it
@@ -437,14 +437,16 @@ def geometric_inverse(y, bound=None):
 def invert_unit(u):
     """Two-sided inverse of an element, or NotAUnitError naming the failure.
 
-    The degree-zero part must have a nonzero coefficient at every vertex.
-    The positive part splits across the arrow partition; the radical block
-    inverts by a terminating geometric series, while each infinite-cycle
-    block inverts through its polynomial-matrix embedding (possible exactly
-    when the image determinant is a nonzero constant).
+    The degree-zero part `low` must have a nonzero coefficient at every
+    vertex; then u = low * (1 + y).  The inverse of 1 + y is one power series
+    in the x-degree, which adds up under products.  The part y_0 of x-degree
+    0 is nilpotent, so v_0 = (1 + y_0)^-1 is a terminating geometric series,
+    and each further level is v_m = -v_0 * sum of y_k * v_(m-k) over
+    1 <= k <= min(m, d), d the largest x-degree in y.  A unit's inverse has
+    x-degree at most (n - 1) * d, n the longest cycle (the adjugate bound for
+    a cycle block as n x n matrices over Q[x]), so the series stops with d
+    zero levels in a row by level n * d, or u is not a unit.
     """
-    from .polymat import cycle_embedding, poly_matrix_inverse
-
     algebra = u.algebra
     low = u.degree_part(0)
     coeffs = {p.vertex: c for p, c in low.terms.items()}
@@ -453,54 +455,29 @@ def invert_unit(u):
         raise NotAUnitError(f"degree-0 part vanishes at vertex {missing[0]}")
     low_inv = algebra.element(
         {Path.stationary(v): Fraction(1) / coeffs[v] for v in algebra.quiver.vertices})
-    y = low_inv * (u - low)
     parts = {}
-    for p, c in y.terms.items():
-        parts.setdefault(component_of_path(algebra, p), {})[p] = c
-    inverse = algebra.one()
-    for key in sorted(parts, key=lambda k: (k is not None, k)):
-        block = algebra.element(parts[key])
-        if key is None:
-            inverse = inverse * geometric_inverse(block)
-        else:
-            sub = component_algebra(algebra, key)
-            emb = cycle_embedding(sub)
-            mat = emb.embed(sub.one() + sub.element(block.terms))
-            try:
-                inv_mat = poly_matrix_inverse(mat)
-            except NotInvertibleError as exc:
+    for p, c in (low_inv * (u - low)).terms.items():
+        parts.setdefault(algebra.x_degree(p), {})[p] = c
+    v0 = geometric_inverse(algebra.element(parts.pop(0, {})))
+    levels = [v0]
+    if parts:
+        d = max(parts)
+        n = max(len(c) for c in algebra.infinite_cycles())
+        parts = {k: algebra.element(t) for k, t in parts.items()}
+        while any(not v.is_zero for v in levels[-d:]):
+            m = len(levels)
+            if m > n * d:
+                left = min(p for v in levels[-d:] for p in v.terms)
                 raise NotAUnitError(
-                    f"block of infinite maximal path {key} is not invertible "
-                    f"(det = {exc.determinant})") from exc
-            # back in the parent algebra, the component identity becomes the
-            # parent identity (extension by one)
-            block_inverse = emb.preimage(inv_mat) - sub.one()
-            inverse = inverse * (algebra.element(block_inverse.terms) + algebra.one())
-    result = inverse * low_inv
-    return Unit(u, result)
-
-
-def component_algebra(algebra, index):
-    """Standalone presentation of one infinite-maximal-path block."""
-    key = ("component_algebra", index)
-    if key in algebra._cache:
-        return algebra._cache[key]
-    cyc = algebra.infinite_cycles()[index]
-    names = set(cyc)
-    q = algebra.quiver
-    vertices = sorted({q.source(a) for a in names} | {q.target(a) for a in names})
-    arrows = [(a.name, a.source, a.target)
-              for a in q.arrows if a.name in names]
-    gens = [g for g in algebra.relations if set(g.arrows) <= names]
-    sub_quiver = Quiver(vertices, arrows)
-    pres = AlgebraPresentation.build(sub_quiver, RelationSet(sub_quiver, gens))
-    if pres.classification != "locally-gentle":
-        raise InvariantError(
-            "component algebra",
-            f"infinite-maximal-path block is {pres.classification}, not locally gentle")
-    sub = PathAlgebra(pres, max_path_length=algebra.max_path_length)
-    algebra._cache[key] = sub
-    return sub
+                    f"invert_unit: block of infinite maximal path "
+                    f"{component_of_path(algebra, left)} is not invertible: its "
+                    f"inverse series has terms past the x-degree bound {(n - 1) * d}")
+            acc = algebra.zero()
+            for k, yk in parts.items():
+                if k <= m:
+                    acc = acc + yk * levels[m - k]
+            levels.append(-(v0 * acc))
+    return Unit(u, sum(levels[1:], v0) * low_inv)
 
 
 def inner_automorphism(u):

@@ -1,8 +1,8 @@
 """Exact matrices over univariate rational polynomials.
 
 Provides the pivot-driven Smith-style factorization M = U * D * P_sigma * V
-in which U and V evaluate at zero to unit upper triangular matrices, plus the
-embedding of a one-cycle locally gentle algebra into such a matrix ring.
+in which U and V evaluate at zero to unit upper triangular matrices, and the
+inverse of a matrix whose determinant is a nonzero constant.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CapExceededError, InvariantError, MatrixFormatError,
-                     NotInImageError, NotInvertibleError, ShapeError)
+                     NotInvertibleError)
 from . import _smith
-from .quiver import Path, _format_sum, _lines, _parse_coeff, _signed_terms
+from .quiver import _format_sum, _lines, _parse_coeff, _signed_terms
 
 try:  # GMP-backed integers speed up Poly arithmetic (the extra "fast")
     from gmpy2 import gcd as _gcd, mpz as _int
@@ -541,101 +541,6 @@ def _from_numerators(den, rows, zero):
 
 def _pairs(rows):
     return [[(e.den, e.nums) for e in row] for row in rows]
-
-
-# -- embedding of a one-cycle locally gentle algebra ---------------------------
-
-
-class CycleEmbedding:
-    """Isomorphism of a locally gentle algebra with a unique (infinite)
-    maximal path onto its structured matrix algebra over Q[x].
-
-    Arrows are indexed along the canonical generating cycle a_1 ... a_n; a
-    basis path starting at a_i of length l maps to x^w E[i][t] where t is the
-    index after the path's last arrow and w counts occurrences of a_n.
-    Stationary paths map to sums of diagonal matrix units.
-    """
-
-    def __init__(self, algebra):
-        cycles = algebra.infinite_cycles()
-        report_arrows = {a.name for a in algebra.quiver.arrows}
-        if len(cycles) != 1 or set(cycles[0]) != report_arrows:
-            raise ShapeError("algebra must have exactly one maximal path, infinite")
-        if not algebra.presentation.is_gentle:
-            raise ShapeError("algebra must be locally gentle")
-        self.algebra = algebra
-        self.cycle = cycles[0]
-        self.n = len(self.cycle)
-        self.index = {a: i for i, a in enumerate(self.cycle)}  # 0-based
-
-    def embed(self, x):
-        """Image of an element as a polynomial matrix."""
-        n = self.n
-        rows = [[Poly() for _ in range(n)] for _ in range(n)]
-        for p, c in x.terms.items():
-            if p.is_stationary:
-                for i, a in enumerate(self.cycle):
-                    if self.algebra.quiver.source(a) == p.vertex:
-                        rows[i][i] = rows[i][i] + Poly.const(c)
-            else:
-                i = self.index[p.first_arrow]
-                t = (self.index[p.last_arrow] + 1) % n
-                wrap = sum(1 for a in p.arrows if a == self.cycle[-1])
-                rows[i][t] = rows[i][t] + Poly.x(wrap, c)
-        return PolyMatrix(rows)
-
-    def cycle_path(self, i, length):
-        """The unique basis path of the given length starting at arrow i."""
-        names = tuple(self.cycle[(i + k) % self.n] for k in range(length))
-        return Path.of(names)
-
-    def preimage(self, mat):
-        """Inverse of embed; raises NotInImageError off the structured image.
-
-        Membership: constant terms below the diagonal vanish, and diagonal
-        constant terms agree whenever the corresponding arrows share a
-        source.
-        """
-        if mat.n != self.n:
-            raise NotInImageError(f"expected dimension {self.n}, got {mat.n}")
-        n = self.n
-        source_value = {}
-        terms = {}
-        for i in range(n):
-            for t in range(n):
-                poly = mat.entry(i, t)
-                for k in range(poly.degree + 1):
-                    c = poly.monomial_coefficient(k)
-                    if not c:
-                        continue
-                    if k == 0:
-                        if t < i:
-                            raise NotInImageError(
-                                f"constant term below the diagonal at ({i + 1},{t + 1})")
-                        if t == i:
-                            v = self.algebra.quiver.source(self.cycle[i])
-                            if v in source_value and source_value[v] != c:
-                                raise NotInImageError(
-                                    f"diagonal constants disagree at vertex {v}")
-                            source_value[v] = c
-                            continue
-                    length = t - i + k * n
-                    if length < 1:
-                        raise NotInImageError(
-                            f"monomial x^{k} at ({i + 1},{t + 1}) matches no path")
-                    terms[self.cycle_path(i, length)] = c
-        for v, c in source_value.items():
-            terms[Path.stationary(v)] = c
-        element = self.algebra.element(terms)
-        if self.embed(element) != mat:
-            raise NotInImageError("matrix does not round-trip through the embedding")
-        return element
-
-
-def cycle_embedding(algebra):
-    if "cycle_embedding" not in algebra._cache:
-        algebra._cache["cycle_embedding"] = CycleEmbedding(algebra)
-    return algebra._cache["cycle_embedding"]
 
 
 # -- text format ----------------------------------------------------------------

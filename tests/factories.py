@@ -65,14 +65,26 @@ def elementary_unit_paths(algebra, max_degree=6, cycles_only=False):
     return out
 
 
+def random_unit_factors(rng, paths, most=3):
+    """(c, p) pairs, p drawn from elementary unit paths, for the product of
+    the units 1 + c*p; the product's inverse is that of the 1 - c*p in
+    reverse order."""
+    return [(Fraction(rng.randint(-3, 3)), p)
+            for p in rng.sample(paths, min(len(paths), rng.randint(1, most)))]
+
+
+def unit_product(algebra, factors):
+    value = algebra.one()
+    for c, p in factors:
+        value = value * (algebra.one() + algebra.path_element(p).scale(c))
+    return value
+
+
 def random_inner(rng, algebra, paths=None):
     paths = paths if paths is not None else elementary_unit_paths(algebra)
     if not paths:
         return inner_automorphism(invert_unit(algebra.one()))
-    value = algebra.one()
-    for p in rng.sample(paths, min(len(paths), rng.randint(1, 3))):
-        c = Fraction(rng.randint(-3, 3))
-        value = value * (algebra.one() + algebra.path_element(p).scale(c))
+    value = unit_product(algebra, random_unit_factors(rng, paths))
     return inner_automorphism(invert_unit(value))
 
 

@@ -124,6 +124,11 @@ def test_inner_not_a_unit_exit(files, capsys):
     q = files("q.quiver", "vertex 1\nvertex 2\narrow a : 1 -> 2\narrow b : 2 -> 1\n")
     u = files("u.element", "1 + 1*a.b\n")
     assert run(["inner", q, u]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: invert_unit: block of infinite maximal path 0 is not invertible: "
+        "its inverse series has terms past the x-degree bound 1\n")
 
 
 def test_decompose_inner_map(files, capsys):

@@ -1,21 +1,72 @@
-"""Pinned outputs of the conjugation solver and the decomposition pipeline.
+"""Pinned outputs of unit inversion, the conjugation solver and the
+decomposition pipeline.
 
-Each digest is the SHA-256 of one output's text: the `format_element` of a
-unit from `solve_conjugation_unique_max`, or the rendered factors of a
-`decompose_general` result (kind, triviality, and the unit or the map).
-The inputs are the seeded streams of `test_solver_on_random_inners` and the
-first 30 mixed items of acceptance criterion 5, so any change in which unit
-or which factors the pipeline returns shows here."""
+Each digest is the SHA-256 of one output's text: the `format_element` of an
+inverse from `invert_unit` or of a unit from `solve_conjugation_unique_max`,
+or the rendered factors of a `decompose_general` result (kind, triviality,
+and the unit or the map).  The inputs are seeded products of elementary
+units on every cycle fixture, the seeded streams of
+`test_solver_on_random_inners` and the first 30 mixed items of acceptance
+criterion 5, so any change in which inverse, unit or factors the library
+returns shows here."""
 
 import hashlib
 import random
+from fractions import Fraction
 
-from stringalg import format_element
+from stringalg import Path, format_element
 from stringalg.decompose import decompose_general, solve_conjugation_unique_max
-from stringalg.morphisms import format_endomorphism
+from stringalg.morphisms import format_endomorphism, invert_unit
 
 from conftest import SOURCES, make_algebra
-from factories import elementary_unit_paths, random_inner
+from factories import (elementary_unit_paths, random_inner, random_unit_factors,
+                       unit_product)
+
+CYCLE_FIXTURES = ("two_cycle_free", "three_cycle_free", "two_loops",
+                  "cycle_pendant", "cycle_with_diamond")
+
+INVERSE_GOLDENS = [
+    "333c67f2e08c6f4cda5535cf03bc03b8281b34ddf1df419584aa31dd0ac831bb",
+    "d9a219adc1a89384fb055a0a5e8769f60b73d160c2340de96dfd0cc636d8274e",
+    "5d8575e3283666b7b95748029c3c4dcba5dba50f639f2d9df3b81f7fa45c6e20",
+    "e8a3f9b8b2bd7fa8242338b3d3de48c8bd39323a6dc608ff14908c91754f7528",
+    "215c9c89778013239a74cbf4a1281f8907454aa14db8988ddee20c7d77bb3bea",
+    "caa4f135c9fb38876b5418d5838cc7dce6befea6a20973145177c36a84738629",
+    "189998d42e06f5018fe60d32893f212a2d14204a19d16f65fb401b184984b4fc",
+    "29aad880b47caeab98611bfd5bd9ec65930055d4383e2ee8922404581a73a7fb",
+    "971d8dac8233039bfc00b36590ed224bd1f9d3270792eab4a69b197040c483f9",
+    "93cdf143b9f2cdba163d84bae084247c8b3ada2ee5937f405d01823c274affed",
+    "2533810efdc650d77b5f6b49471e0a031239f9d7bbda195ff6cd344df950f358",
+    "8fb10e77090312bfaaedfd2326acb021d64adf44bfc1e587a7bda8fe19bce402",
+    "0b3d0c72c19b4fb6c643d12ca1a60d3f706cf2c5a6596a7ea94e009e00283a00",
+    "10bc3b30942c3c7214cd4e3c391aa43b87ff725e0160e3851d0d6ee57b7701d8",
+    "6b7138f8bb44e0f61b8b2a829fbcdc1adf472323174e25da7acb1860c4680c79",
+    "3625ad59116d9a960616efa4ac7a727848a516eaa88dda7aad53946a244fa799",
+    "3fe917185e75b1250303ff8225e4d077735dc32f6d032505ade2713b0852f31a",
+    "eea455b3c33e4a93624314c8b0c00524c7f9532a168e3b3cb7b45acfc52c27fa",
+    "3b2c47c0d9accd607adf5ea646df8edb8b3c1e52a1002bdbe56eaeca2ef3d61b",
+    "afff86dda5529f9e51e09a3fcef83c4ad09b569ca5e351f3fa30a14ac62c5e4e",
+    "d3bbd678a8b72d4ca98dd04cec533e2618cd815e009f35e6d66e5dbe9dab7605",
+    "60056d9f41d2f135932706ea549ca06baa3c166668171c0df813bf79b99d04f0",
+    "efec6ba98a6e72b9562e6a0dab59810f8843b6cc4aba86a51a224ad08b0cdd91",
+    "efec6ba98a6e72b9562e6a0dab59810f8843b6cc4aba86a51a224ad08b0cdd91",
+    "2b8b8d1a2aa5cfcee71145fd4b7e5e311d411ad4e01e2de3218e2ca2135a7a42",
+    "305e65e8c5babb6ee591026134e078d57fdc5196c59f66bce8a8346b58f5f461",
+    "d4d690a12ffa07130ac0a42b70f08cad9a99b5e6cb052a6e0e5abd2bec819be2",
+    "5d080f20dd6f0dce78d1de010f7b7a328f9f04e9b1063c3da3cb73e4134cf58c",
+    "c5db7807250085f5c38d5455d67440461d1dbff52ec4cff0dc97e1be29c68b03",
+    "eda3e3bd6188bef28f0972789d2fb47e68d5e5029e8f85e1d3ef487d215b4213",
+    "028959f74a93ae84614ab81920a2a7c93314a820051e27bff8fb404c7133a7b4",
+    "c071825fe3aad8d8a577adf132a78851cee67eb1eee2defc6bdb0c1f3a19e643",
+    "06659af97fd23dc84b3a622e5da0f2b6b38cb0da21ae21521ac31ea699c29de3",
+    "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    "707cec4a83d9871cad956a10d32ce46f862e70f898a86c31e1845602122aec3b",
+    "0de31e4937436d99129ef958eb2cb19f58f20f69af34ba488e1372201d97a21c",
+    "4379bb06506419bffaef45650307e9dd2f890cff1ae999d4c7a18d8b924d2c77",
+    "7314312e1a700d1ed95d063812841818ac460e9ab602a3b7f6990e19a34d205e",
+    "dec611f2388c3e6449ac2c0b41b0111ab5db51fb10cf2c9ee628a8f2c5473442",
+    "b37de4c81cb89009a58214bbbe17156bcfa5b9abf7ad290d21ee5fa1fbb6dc21",
+]
 from test_compose import _criterion_5_items
 
 SOLVER_UNIT_GOLDENS = [
@@ -83,6 +134,26 @@ def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def inverse_texts():
+    """Inverses of seeded units on every cycle fixture: values as
+    random_inner draws them, longer products reaching x-degree 13, and one
+    such product times a degree-0 part other than 1."""
+    rng = random.Random(13)
+    for name in CYCLE_FIXTURES:
+        algebra = make_algebra(SOURCES[name])
+        paths = elementary_unit_paths(algebra)
+        long_paths = elementary_unit_paths(algebra, max_degree=12)
+        values = [unit_product(algebra, random_unit_factors(rng, paths))
+                  for _ in range(4)]
+        values += [unit_product(algebra, random_unit_factors(rng, long_paths, most=5))
+                   for _ in range(3)]
+        low = algebra.element({Path.stationary(v): Fraction(rng.randint(1, 4))
+                               for v in algebra.quiver.vertices})
+        values.append(low * values[-1])
+        for value in values:
+            yield format_element(invert_unit(value).inverse)
+
+
 def solver_unit_texts():
     """The units of test_solver_on_random_inners, in order."""
     rng = random.Random(9)
@@ -105,6 +176,10 @@ def decomposition_texts():
             elif not factor.is_trivial:
                 lines.append(format_endomorphism(factor.endomorphism))
         yield "\n".join(lines)
+
+
+def test_inverses_are_pinned():
+    assert [_digest(t) for t in inverse_texts()] == INVERSE_GOLDENS
 
 
 def test_solver_units_are_pinned():

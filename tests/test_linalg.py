@@ -8,7 +8,7 @@ import pytest
 
 from stringalg._linalg import matrix_inverse, nullspace, solve_affine
 from stringalg.errors import NotInvertibleError
-from stringalg.polymat import Poly, PolyMatrix, poly_matrix_inverse
+from stringalg.polymat import Poly, PolyMatrix, modified_smith, poly_matrix_inverse
 
 
 # -- the dense reference ---------------------------------------------------------
@@ -279,3 +279,23 @@ def test_poly_matrix_inverse_against_sympy():
     m = PolyMatrix([[Poly((0, 1)), Poly.const(0)], [Poly.const(0), Poly.const(1)]])
     with pytest.raises(NotInvertibleError):
         poly_matrix_inverse(m)
+
+
+def test_smith_determinant_against_sympy():
+    # criterion-3-style matrices: det D = +-det M, det M taken by sympy's
+    # elimination over the polynomial domain
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(43)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        m = PolyMatrix([[Poly([Fraction(rng.randint(-9, 9))
+                               for _ in range(rng.randint(0, 4) + 1)])
+                         for _ in range(n)] for _ in range(n)])
+        d = modified_smith(m).D
+        det_d = Poly.const(1)
+        for i in range(n):
+            det_d = det_d * d.entry(i, i)
+        sm = sympy.Matrix([[poly_to_sympy(sympy, x, e) for e in row] for row in m.rows])
+        det_m = poly_from_sympy(sympy, x, sm.det(method="domain-ge"))
+        assert det_d == det_m or det_d == -det_m

@@ -19,6 +19,8 @@ from stringalg.morphisms import (CYCLE, MAXIMAL, OTHER, PARALLEL, Endomorphism,
                                  verify_endomorphism)
 
 from conftest import SOURCES, make_algebra
+from factories import elementary_unit_paths, random_unit_factors, unit_product
+from test_acceptance import TWO_CYCLES_BRIDGE
 
 
 def ex46_inner_map(algebra):
@@ -336,6 +338,8 @@ def test_degree_floor_on_generators():
 
 def test_invert_unit_examples(cycle_free, ex_string):
     one = cycle_free.one()
+    # a has x-degree 0: the inverse is the geometric series alone
+    assert cycle_free.x_degree(Path.of(("a",))) == 0
     u = invert_unit(one + cycle_free.arrow("a"))
     assert u.inverse == one - cycle_free.arrow("a")
 
@@ -349,6 +353,74 @@ def test_invert_unit_examples(cycle_free, ex_string):
     assert v.inverse == (ex_string.one()
                          + ex_string.path_element(("a", "b"))
                          - ex_string.path_element(("b", "a")))
+
+
+def chained_factors(algebra, lengths):
+    """(c, p) pairs, p_j the path of length lengths[j] along the first cycle
+    that starts where p_(j-1) stops, so the product of the units 1 + c*p
+    reaches the x-degree of all of them together."""
+    cyc = algebra.infinite_cycles()[0]
+    out, start = [], 0
+    for j, length in enumerate(lengths):
+        path = Path.of(tuple(cyc[(start + k) % len(cyc)] for k in range(length)))
+        out.append((Fraction((-1) ** j * (j + 2)), path))
+        start += length
+    return out
+
+
+def reversed_inverse(algebra, factors):
+    return unit_product(algebra, [(-c, p) for c, p in reversed(factors)])
+
+
+@pytest.mark.parametrize("name, lengths", [
+    ("two_cycle_free", (5, 7, 5, 7)),
+    ("three_cycle_free", (7, 8, 7, 8)),
+    ("two_loops", (5, 7, 5, 7)),
+    ("cycle_pendant", (5, 7, 5, 7)),
+    ("cycle_with_diamond", (5, 7, 5, 7)),
+])
+def test_inverse_of_elementary_unit_products(name, lengths):
+    algebra = make_algebra(SOURCES[name])
+    factors = chained_factors(algebra, lengths)
+    elementary = elementary_unit_paths(algebra, max_degree=max(lengths))
+    assert all(p in elementary for _, p in factors)
+    value = unit_product(algebra, factors)
+    assert max(algebra.x_degree(p) for p in value.terms) >= 8
+    assert invert_unit(value).inverse == reversed_inverse(algebra, factors)
+    rng = random.Random(31)
+    paths = elementary_unit_paths(algebra, max_degree=12)
+    for _ in range(6):
+        factors = random_unit_factors(rng, paths, most=5)
+        value = unit_product(algebra, factors)
+        assert invert_unit(value).inverse == reversed_inverse(algebra, factors), name
+
+
+def test_inverse_of_radical_and_block_parts_together(cycle_pendant):
+    # c is radical, a.b.a lies on the cycle block: the two multiply to zero
+    c = cycle_pendant.arrow("c")
+    aba = cycle_pendant.path_element(("a", "b", "a"))
+    one = cycle_pendant.one()
+    assert invert_unit(one + 2 * c + 3 * aba).inverse == one - 2 * c - 3 * aba
+    low, low_inverse = (cycle_pendant.element(
+        {Path.stationary(v): Fraction(k) ** sign for v, k in zip("123", (2, 5, 7))})
+        for sign in (1, -1))
+    u = invert_unit(low * (one + 2 * c + 3 * aba))
+    assert u.inverse == (one - 2 * c - 3 * aba) * low_inverse
+
+
+@pytest.mark.parametrize("source, text, block, bound", [
+    (SOURCES["two_cycle_free"], "1 + 1*a.b", 0, 1),
+    (SOURCES["one_loop"], "1 + 1*x", 0, 0),
+    (SOURCES["cycle_pendant"], "1 + 1*c + 2*b.a", 0, 1),
+    (TWO_CYCLES_BRIDGE, "1 + 1*c.d + 1*a.b.a", 1, 1),
+])
+def test_non_unit_names_its_stage_block_and_bound(source, text, block, bound):
+    algebra = make_algebra(source)
+    with pytest.raises(NotAUnitError) as err:
+        invert_unit(algebra.parse_element(text))
+    assert str(err.value) == (
+        f"invert_unit: block of infinite maximal path {block} is not invertible: "
+        f"its inverse series has terms past the x-degree bound {bound}")
 
 
 def test_invert_unit_requires_nonzero_vertex_coefficients(ex_string):

@@ -1,24 +1,19 @@
-"""Polynomial matrices, the triangular-at-zero Smith factorization, and the
-one-cycle matrix embedding."""
+"""Polynomial matrices and the triangular-at-zero Smith factorization."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from stringalg import parse_quiver
-from stringalg.errors import (CapExceededError, MatrixFormatError, NotInImageError,
-                              NotInvertibleError, ShapeError)
-from stringalg.maximal import classify_maximal, cycle_sum
+from stringalg.errors import CapExceededError, MatrixFormatError, NotInvertibleError
 from stringalg.polymat import (MAX_PARSE_DEGREE, Poly, PolyMatrix, SmithFactorization,
-                               cycle_embedding, format_poly, format_poly_matrix, modified_smith,
+                               format_poly, format_poly_matrix, modified_smith,
                                parse_poly, parse_poly_matrix,
                                poly_matrix_inverse,
                                smith_elimination_step, _pivot_position)
 from stringalg._smith import (PRIME_BITS, PRIME_OFFSETS, Differences, eliminate, horner,
                               identity, pivot, primes, probable_prime, reduced)
 
-from conftest import SOURCES, make_algebra
 
 EXAMPLE_MATRIX = """
 6*x^3 - 4*x^2, -3*x + 2, 9*x^2 - 4;
@@ -253,70 +248,6 @@ def test_poly_matrix_inverse_errors():
         poly_matrix_inverse(parse_poly_matrix("1, 0; 0, x"))
     assert err.value.determinant == Poly.x()
     assert poly_matrix_inverse(PolyMatrix.identity(3)) == PolyMatrix.identity(3)
-
-
-# -- the one-cycle embedding -------------------------------------------------
-
-
-def test_embedding_of_generators(cycle_free):
-    emb = cycle_embedding(cycle_free)
-    assert emb.embed(cycle_free.arrow("a")) == parse_poly_matrix("0, 1; 0, 0")
-    assert emb.embed(cycle_free.arrow("b")) == parse_poly_matrix("0, 0; x, 0")
-    ab = cycle_free.path_element(("a", "b"))
-    assert emb.embed(ab) == parse_poly_matrix("x, 0; 0, 0")
-    assert emb.embed(cycle_free.one()) == PolyMatrix.identity(2)
-
-
-def test_embedding_of_central_cycle_sum(cycle_free):
-    rep = classify_maximal(cycle_free)
-    m = cycle_sum(cycle_free, rep.infinite_maximal[0])
-    assert cycle_embedding(cycle_free).embed(m) == parse_poly_matrix("x, 0; 0, x")
-
-
-def test_preimage_examples(cycle_free):
-    preimage = cycle_embedding(cycle_free).preimage
-    assert preimage(parse_poly_matrix("x, 0; 0, x")) == \
-        cycle_free.path_element(("a", "b")) + cycle_free.path_element(("b", "a"))
-    assert preimage(PolyMatrix.identity(2)) == cycle_free.one()
-    with pytest.raises(NotInImageError) as err:
-        preimage(parse_poly_matrix("0, 0; 1, 0"))
-    assert "below the diagonal" in str(err.value)
-
-
-def test_preimage_diagonal_mismatch():
-    two_loops = make_algebra(SOURCES["two_loops"])
-    # both loop arrows share the single vertex, so unequal diagonal
-    # constants cannot come from a stationary path
-    with pytest.raises(NotInImageError) as err:
-        cycle_embedding(two_loops).preimage(parse_poly_matrix("1, 0; 0, 2"))
-    assert "disagree" in str(err.value)
-
-
-def test_embedding_is_multiplicative_unital_injective():
-    rng = random.Random(17)
-    for name in ("two_cycle_free", "three_cycle_free", "two_loops"):
-        algebra = make_algebra(SOURCES[name])
-        emb = cycle_embedding(algebra)
-        basis = algebra.enumerate_basis(6)
-        images = {}
-        for p in basis:
-            mat = emb.embed(algebra.path_element(p))
-            assert mat not in images.values(), name  # injective on the basis
-            images[p] = mat
-        for _ in range(15):
-            x = algebra.element({
-                p: Fraction(rng.randint(-3, 3)) for p in rng.sample(basis, 3)})
-            y = algebra.element({
-                p: Fraction(rng.randint(-3, 3)) for p in rng.sample(basis, 3)})
-            assert emb.embed(x * y) == emb.embed(x) * emb.embed(y), name
-            assert emb.preimage(emb.embed(x)) == x, name
-
-
-def test_embedding_requires_single_cycle_shape(ex_string, cycle_pendant):
-    with pytest.raises(ShapeError):
-        cycle_embedding(ex_string)
-    with pytest.raises(ShapeError):
-        cycle_embedding(cycle_pendant)
 
 
 def test_matrix_format_round_trip():
