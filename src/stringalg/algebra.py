@@ -7,6 +7,12 @@ paths starting with an arrow are the prefixes of one walk from it, finite or
 going round a surviving cycle forever.  A path is zero exactly when it is
 not such a prefix, and a product of basis paths is a basis path exactly
 when the joined arrows are; both are read off a table of those walks.
+
+`Element(algebra, terms)` validates its terms.  Ring operations do not
+validate their results again: their terms are basis paths, as `concat`
+returns only those, with Fraction coefficients, so only zeros are dropped.
+No code changes an element's terms in place, so each algebra builds `zero`,
+`one` and the generator elements once and shares them.
 """
 
 from __future__ import annotations
@@ -26,12 +32,16 @@ class Element:
 
     def __init__(self, algebra, terms):
         self.algebra = algebra
-        clean = {}
-        for p, c in terms.items():
-            c = Fraction(c)
-            if c and not algebra.in_ideal(p):
-                clean[p] = clean.get(p, Fraction(0)) + c
-        self.terms = {p: c for p, c in clean.items() if c}
+        clean = ((p, Fraction(c)) for p, c in terms.items())
+        self.terms = {p: c for p, c in clean if c and not algebra.in_ideal(p)}
+
+    @classmethod
+    def _trusted(cls, algebra, terms):
+        """Element of terms a ring operation built: zeros dropped, no other check."""
+        out = cls.__new__(cls)
+        out.algebra = algebra
+        out.terms = {p: c for p, c in terms.items() if c}
+        return out
 
     # -- ring structure ----------------------------------------------------
 
@@ -39,14 +49,14 @@ class Element:
         self._check(other)
         terms = dict(self.terms)
         for p, c in other.terms.items():
-            terms[p] = terms.get(p, Fraction(0)) + c
-        return Element(self.algebra, terms)
+            terms[p] = terms[p] + c if p in terms else c
+        return Element._trusted(self.algebra, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Element(self.algebra, {p: -c for p, c in self.terms.items()})
+        return Element._trusted(self.algebra, {p: -c for p, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -57,8 +67,8 @@ class Element:
             for q, d in other.terms.items():
                 r = self.algebra.concat(p, q)
                 if r is not None:
-                    terms[r] = terms.get(r, Fraction(0)) + c * d
-        return Element(self.algebra, terms)
+                    terms[r] = terms[r] + c * d if r in terms else c * d
+        return Element._trusted(self.algebra, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -67,7 +77,7 @@ class Element:
 
     def scale(self, c):
         c = Fraction(c)
-        return Element(self.algebra, {p: c * v for p, v in self.terms.items()})
+        return Element._trusted(self.algebra, {p: c * v for p, v in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, Element) and self.algebra is other.algebra
@@ -87,7 +97,8 @@ class Element:
         return not self.terms
 
     def degree_part(self, n):
-        return Element(self.algebra, {p: c for p, c in self.terms.items() if p.length == n})
+        return Element._trusted(self.algebra,
+                                {p: c for p, c in self.terms.items() if p.length == n})
 
     def min_degree(self):
         """Lowest degree with a nonzero term; None for the zero element."""
@@ -123,21 +134,28 @@ class PathAlgebra:
 
     # -- construction helpers ------------------------------------------------
 
+    def _shared(self, key, paths):
+        """The sum of the basis paths `paths()`, built once per key."""
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = Element(self, dict.fromkeys(paths(), Fraction(1)))
+        return out
+
     def zero(self):
-        return Element(self, {})
+        return self._shared("zero", tuple)
 
     def one(self):
-        return Element(self, {Path.stationary(v): Fraction(1) for v in self.quiver.vertices})
+        return self._shared("one", lambda: map(Path.stationary, self.quiver.vertices))
 
     def stationary(self, vertex):
         if vertex not in self.quiver.arrows_from:
             raise ValueError(f"unknown vertex {vertex}")
-        return Element(self, {Path.stationary(vertex): Fraction(1)})
+        return self._shared(("e", vertex), lambda: [Path.stationary(vertex)])
 
     def arrow(self, name):
         if name not in self.quiver.arrow_by_name:
             raise ValueError(f"unknown arrow {name}")
-        return Element(self, {Path.of((name,)): Fraction(1)})
+        return self._shared(("arrow", name), lambda: [Path.of((name,))])
 
     def path_element(self, path, coeff=1):
         if not isinstance(path, Path):

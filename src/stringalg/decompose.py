@@ -63,8 +63,8 @@ class Decomposition:
     factors: tuple
 
     def compose(self):
-        out = Endomorphism.identity(self.factors[0].endomorphism.algebra)
-        for factor in reversed(self.factors):
+        out = self.factors[-1].endomorphism
+        for factor in reversed(self.factors[:-1]):
             out = factor.endomorphism.compose(out)
         return out
 
@@ -363,7 +363,8 @@ def decompose_general(f, degree_cap=32):
     # stage 1: strip parallel-maximal-path terms
     d1, g1 = peel_maximal(g)
     # stage 2: one inner unit per infinite maximal path
-    block_positive = algebra.zero()
+    # the blocks multiply to zero: 1 + Σ(u_i - 1) has inverse 1 + Σ(u_i⁻¹ - 1)
+    u2_value = u2_inverse = algebra.one()
     for index in range(len(algebra.infinite_cycles())):
         sub = component_algebra(algebra, index)
         fi = _restrict_to_block(g1, index, sub)
@@ -373,9 +374,9 @@ def decompose_general(f, degree_cap=32):
                     f"block {index} is a polynomial ring but is moved")
             continue
         unit_i = solve_conjugation_unique_max(fi, degree_cap=degree_cap)
-        block_positive = block_positive + algebra.element(
-            dict((unit_i.value - sub.one()).terms))
-    u2 = invert_unit(algebra.one() + block_positive)
+        u2_value = u2_value + algebra.element((unit_i.value - sub.one()).terms)
+        u2_inverse = u2_inverse + algebra.element((unit_i.inverse - sub.one()).terms)
+    u2 = Unit(u2_value, u2_inverse)
     g2 = inner_automorphism(u2).inverse.compose(g1)
     for a in sorted(algebra.cycle_arrows()):
         if g2.arrow_images[a] != algebra.arrow(a):

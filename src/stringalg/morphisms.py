@@ -9,13 +9,15 @@ automorphism keeps its unit, and composing with it conjugates each generator
 image instead.  Certification checks the defining identities of the
 presentation exactly, after which the map is trusted as an algebra
 endomorphism; a composite of certified maps and conjugation by a verified
-unit are certified by construction and are not checked again.
+unit are certified by construction and are not checked again.  A composite
+of invertible maps keeps its factors and builds its inverse on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (CapExceededError, CertificationError, DerivationError,
                      NotAUnitError, ShapeError)
@@ -48,6 +50,19 @@ class Endomorphism:
         self.certified = certified
         self.inverse = inverse
         self.unit = unit
+
+    @property
+    def inverse(self):
+        """The inverse map or None; a composite builds it on the first read."""
+        if self._parts is not None:
+            g = reduce(lambda acc, h: h.inverse._compose_raw(acc), self._parts[1:],
+                       self._parts[0].inverse)
+            self.inverse, g.inverse = g, self
+        return self._inverse
+
+    @inverse.setter
+    def inverse(self, value):
+        self._inverse, self._parts = value, None
 
     @staticmethod
     def identity(algebra):
@@ -99,9 +114,8 @@ class Endomorphism:
     def compose(self, other):
         """self after other: (self.compose(other))(x) = self(other(x))."""
         f = self._compose_raw(other)
-        if self.inverse is not None and other.inverse is not None:
-            g = other.inverse._compose_raw(self.inverse)
-            f.inverse, g.inverse = g, f
+        if all(g._inverse is not None or g._parts is not None for g in (self, other)):
+            f._parts = (self._parts or (self,)) + (other._parts or (other,))
         return f
 
     def __eq__(self, other):
@@ -249,21 +263,18 @@ class Derivation:
         if path in self._path_cache:
             return self._path_cache[path]
         algebra = self.algebra
-        if path.is_stationary:
-            out = algebra.zero()
-        else:
-            out = algebra.zero()
-            arrows = path.arrows
-            for i, a in enumerate(arrows):
-                mid = self.arrow_images.get(a)
-                if mid is None:
-                    continue
-                piece = mid
-                if i > 0:
-                    piece = algebra.path_element(arrows[:i]) * piece
-                if i + 1 < len(arrows):
-                    piece = piece * algebra.path_element(arrows[i + 1:])
-                out = out + piece
+        out = algebra.zero()
+        arrows = path.arrows    # none for a stationary path, whose image is zero
+        for i, a in enumerate(arrows):
+            mid = self.arrow_images.get(a)
+            if mid is None:
+                continue
+            piece = mid
+            if i > 0:
+                piece = algebra.path_element(arrows[:i]) * piece
+            if i + 1 < len(arrows):
+                piece = piece * algebra.path_element(arrows[i + 1:])
+            out = out + piece
         self._path_cache[path] = out
         return out
 

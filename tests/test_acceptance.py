@@ -6,12 +6,10 @@ import random
 import time
 from fractions import Fraction
 
-from stringalg import PathAlgebra, parse_quiver
 from stringalg.decompose import (ENDPOINT_PRESERVING, EXP_MAXIMAL, INNER,
                                  decompose_general, decompose_string,
                                  outer_class)
-from stringalg.maximal import (classify_maximal, degree_zero_center_dimension,
-                               radical_basis)
+from stringalg.maximal import degree_zero_center_dimension, radical_basis
 from stringalg.morphisms import (CYCLE, MAXIMAL, exponentiate,
                                  inner_automorphism, invert_unit,
                                  make_derivation, parse_endomorphism,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from stringalg import Path, PathAlgebra, format_element, parse_element, parse_quiver
+from stringalg import Path, format_element, parse_element
 from stringalg.errors import ElementFormatError
 
 from conftest import SOURCES, make_algebra

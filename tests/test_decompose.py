@@ -4,18 +4,16 @@ import random
 
 import pytest
 
-from stringalg import parse_quiver
 from stringalg.decompose import (ENDPOINT_PRESERVING, EXP_MAXIMAL, GRADED,
                                  INNER, decompose_general, decompose_string,
                                  outer_class, peel_maximal,
                                  solve_conjugation_unique_max, _solve_inner_match,
                                  _solve_intertwiner)
-from stringalg.errors import (CapExceededError, CertificationError,
-                              DecompositionError, ShapeError)
+from stringalg.errors import CapExceededError, CertificationError, ShapeError
 from stringalg.maximal import parallel_maximal
 from stringalg.morphisms import (Endomorphism, exponentiate, inner_automorphism,
-                                 invert_unit, make_derivation, membership,
-                                 parse_endomorphism, verify_endomorphism)
+                                 invert_unit, make_derivation, parse_endomorphism,
+                                 verify_endomorphism)
 
 from conftest import SOURCES, make_algebra
 from factories import (derivation_targets, elementary_unit_paths,

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from stringalg import Path, parse_quiver
+from stringalg import Path
 from stringalg.errors import BoundExceededError
 from stringalg.maximal import (arrow_partition, classify_maximal, cycle_sum,
                                degree_zero_center_dimension, parallel_maximal,

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from stringalg import Path, parse_quiver
+from stringalg import Path
 from stringalg.errors import (CapExceededError, CertificationError,
                               DerivationError, ElementFormatError, NotAUnitError)
-from stringalg.maximal import classify_maximal, parallel_maximal, rotation_sum
+from stringalg.maximal import classify_maximal, rotation_sum
 from stringalg.morphisms import (CYCLE, MAXIMAL, OTHER, PARALLEL, Endomorphism,
-                                 Unit, exponentiate, format_endomorphism,
+                                 exponentiate, format_endomorphism,
                                  geometric_inverse, graded_part,
                                  inner_automorphism, invert_unit,
                                  make_derivation, membership,

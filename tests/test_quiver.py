@@ -2,10 +2,10 @@
 
 import pytest
 
-from stringalg import Path, PathAlgebra, RelationSet, parse_quiver
+from stringalg import Path, parse_quiver
 from stringalg.errors import QuiverFormatError
 
-from conftest import (KRONECKER, ONE_LOOP, SOURCES, TWO_CYCLE_REL, make_algebra)
+from conftest import KRONECKER, ONE_LOOP, SOURCES, TWO_CYCLE_REL
 
 
 def test_parse_example_string_algebra():

@@ -4,7 +4,7 @@ exercise validation, structure maps, and decomposition beyond the fixtures."""
 import itertools
 import random
 
-from stringalg import PathAlgebra, parse_quiver
+from stringalg import PathAlgebra
 from stringalg.quiver import AlgebraPresentation, Path, Quiver, RelationSet
 from stringalg.decompose import decompose_general
 from stringalg.maximal import classify_maximal, degree_zero_center_dimension
