@@ -5,11 +5,12 @@ presentations.
 The pipeline peels factors off the input one degree level at a time:
 
 1. a "maximal" exponential factor moving arrows by parallel maximal paths,
-2. one inner factor per infinite maximal path, its unit u solved from the
-   linear system u * f(g) = g * u in the algebra, as in stage 3,
+2. one inner factor per infinite maximal path, its unit u solved in the
+   input's algebra from u * f(g) = g * u over the generators g of that
+   block, with each f(g) cut to the block's paths,
 3. an inner vertex correction followed by a level-by-level tower over the
    radical, yielding a maximal-type exponential, an endpoint-preserving
-   factor, and an inner unit.
+   factor kept with its word of cycle-type exponentials, and an inner unit.
 
 Every decomposition is re-verified exactly against the input before it is
 returned; factors are emitted in the fixed order [exponential,
@@ -24,16 +25,14 @@ from fractions import Fraction
 from typing import Optional
 
 from ._linalg import solve_affine
-from .algebra import PathAlgebra
 from .errors import (CapExceededError, CertificationError, DecompositionError,
-                     InvariantError, ShapeError)
+                     ShapeError)
 from .maximal import (component_of_path, is_left_maximal, is_right_maximal,
                       parallel_maximal)
-from .morphisms import (Derivation, Endomorphism, MAXIMAL, Unit, exponentiate,
+from .morphisms import (CYCLE, Endomorphism, MAXIMAL, Unit, exponentiate,
                         geometric_inverse, graded_part, inner_automorphism,
-                        invert_graded, invert_unit, make_derivation,
-                        membership, verify_endomorphism)
-from .quiver import AlgebraPresentation, Path, Quiver, RelationSet
+                        invert_graded, invert_unit, make_derivation, membership)
+from .quiver import Path
 
 EXP_MAXIMAL = "exp-maximal"              # exponential of a maximal-type derivation
 ENDPOINT_PRESERVING = "endpoint-preserving"   # generated by cycle-type exponentials
@@ -46,9 +45,12 @@ MAX_INTERTWINER_SIZE = 10_000_000
 
 @dataclass(frozen=True)
 class Factor:
+    """A factor; for the exp-maximal and endpoint-preserving kinds the
+    endomorphism is exp(w_1) o ... o exp(w_k) over the `derivations` w_i."""
+
     kind: str
     endomorphism: Endomorphism
-    derivation: Optional[Derivation] = None
+    derivations: tuple = ()
     unit: Optional[Unit] = None
 
     @property
@@ -115,21 +117,13 @@ def peel_maximal(f):
     return d, exponentiate(d).compose(f)
 
 
-# -- stage 2: conjugation solve on a one-cycle block ---------------------------
+# -- stage 2: conjugation solve on an infinite-maximal-path block ----------------
 
 
 def solve_conjugation_unique_max(f, degree_cap=32):
     """Conjugating unit for a graded-identity automorphism of a locally
-    gentle algebra with a unique infinite maximal path.
-
-    Solves u * f(g) = g * u in the algebra for u congruent to 1, supported
-    on the paths of x-degree at most d (how many times a path passes the
-    cycle's closing arrow, `PathAlgebra.x_degree`), growing d up to degree_cap.
-    Conjugation fixes u only up to a central unit, and the block's center
-    k[z] has only the scalars as units, so the solution at the least d is
-    unique.  A solution that is not a unit raises
-    NotAUnitError: the input was not an automorphism.
-    """
+    gentle algebra with a unique infinite maximal path: the algebra is one
+    block, solved by `_block_unit`."""
     algebra = f.algebra
     if algebra.is_polynomial_ring:
         raise ShapeError("the one-loop free algebra has no conjugation solver")
@@ -138,41 +132,71 @@ def solve_conjugation_unique_max(f, degree_cap=32):
         raise ShapeError("algebra must have exactly one maximal path, infinite")
     if not f.certified or not membership(f).graded_identity:
         raise CertificationError("solver requires a certified graded-identity input")
-    n = len(cycles[0])
+    return _block_unit(f, 0, degree_cap)
+
+
+def _block_unit(f, index, degree_cap):
+    """Conjugating unit of the part of a certified graded-identity f on the
+    block of infinite maximal path `index`.
+
+    Solves u * f(g) = g * u in the algebra over the block's vertices and
+    arrows g, with f(g) cut to the block's paths, for u congruent to 1
+    supported on the block's paths of x-degree at most d (how many times a
+    path passes the cycle's closing arrow, `PathAlgebra.x_degree`), growing
+    d up to degree_cap.  A nonzero path that starts on the cycle stays on
+    it, so this is the block's own system.  Conjugation fixes u only up to
+    a central unit, and the block's center k[z] has only the scalars as
+    units, so the solution at the least d is unique.  A solution that is
+    not a unit raises NotAUnitError: the input was not an automorphism.
+    """
+    algebra = f.algebra
+    cycle = algebra.infinite_cycles()[index]
+    gens = [Path.stationary(v) for v in sorted({algebra.quiver.source(a) for a in cycle})]
+    images = {}
+    for g in gens + [Path.of((a,)) for a in sorted(cycle)]:
+        base = algebra.path_element(g)
+        moved = f.image_of_path(g) - base
+        images[g] = base + algebra.element(
+            {p: c for p, c in moved.terms.items()
+             if component_of_path(algebra, p) == index})
+    n = len(cycle)
+    if n == 1 and any(image != algebra.path_element(g) for g, image in images.items()):
+        # a free loop: the block k[x] is commutative, so conjugation fixes it
+        raise DecompositionError(f"block {index} is a polynomial ring but is moved")
     memo = {}
     for degree in range(degree_cap + 1):
         support = [p for p in algebra.enumerate_basis((degree + 1) * n)
-                   if not p.is_stationary and algebra.x_degree(p) <= degree]
-        u = _solve_intertwiner(f, support, memo)
+                   if component_of_path(algebra, p) == index
+                   and algebra.x_degree(p) <= degree]
+        u = _solve_intertwiner(images, support, memo)
         if u is not None:
             break
     else:
         raise CapExceededError(
             f"intertwiner: no polynomial intertwiner up to degree {degree_cap}")
     unit = invert_unit(u)
-    if inner_automorphism(unit) != f:
+    if any(unit.inverse * algebra.path_element(g) * unit.value != image
+           for g, image in images.items()):
         raise DecompositionError("conjugation verification failed")
     return unit
 
 
-def _solve_intertwiner(f, support, memo):
-    """u = 1 + sum of c_p * p over the support paths with u * f(g) = g * u
-    for every generator g, or None.
+def _solve_intertwiner(images, support, memo):
+    """u = 1 + sum of c_p * p over the support paths with
+    u * images[g] = g * u for every generator g in images, or None.
 
     Deterministic: the echelon particular solution of the sparse system in
-    the c_p, in support order.  memo keeps g, f(g) and w * f(g) - g * w per
+    the c_p, in support order.  memo keeps w * images[g] - g * w per
     generator g and support path w for the calls of one solve.  Raises
     CapExceededError before solving when rows x unknowns exceeds
     MAX_INTERTWINER_SIZE.
     """
-    algebra = f.algebra
+    algebra = next(iter(images.values())).algebra
     n = len(support)
     rows = {}    # per (generator, path): {unknown, or n for the right side: coefficient}
-    for k, g in enumerate(algebra.generators()):
-        if g not in memo:
-            base = algebra.path_element(g)
-            memo[g] = base, f.apply(base), {}
-        base, target, products = memo[g]
+    for k, (g, target) in enumerate(images.items()):
+        base = algebra.path_element(g)
+        products = memo.setdefault(g, {})
         # the constant part 1 * f(g) - g * 1 goes to the right
         for p, c in (target - base).terms.items():
             rows.setdefault((k, p), {})[n] = -c
@@ -201,23 +225,25 @@ def _radical_tower(f):
     """Stage 3: peel f (vertex fixing, arrows moved inside the radical)
     level by level.
 
-    Returns (d, rho, u) with f = exp(d) o rho o conj(u) exactly;
-    d is a maximal-type derivation, rho a composition of cycle-type
-    exponentials carrying its inverse, and u a unit congruent to 1.  When
-    rho is itself inner, it is absorbed into u and returned as the identity.
+    Returns (d, rho, word, u) with f = exp(d) o rho o conj(u) exactly; d is
+    a maximal-type derivation, u a unit congruent to 1, and
+    rho = exp(w_1) o ... o exp(w_k) over the pairs (w_i, exp(w_i)) of word,
+    the w_i cycle-type derivations, one per level that has returning terms.
+    When rho is itself inner, it is absorbed into u and returned as the
+    identity with an empty word.
     """
     algebra = f.algebra
     bound = algebra.radical_degree_bound()
     for v in algebra.quiver.vertices:
         if f.vertex_images[v] != algebra.stationary(v):
             raise DecompositionError(f"input does not fix e_{v}")
-    cycle_arrows = algebra.cycle_arrows()
     for a in sorted(algebra.quiver.arrow_by_name):
         moved = f.arrow_images[a] - algebra.arrow(a)
         if any(component_of_path(algebra, p) is not None for p in moved.terms):
             raise DecompositionError(f"image of {a} moves an infinite-maximal-path block")
     d_acc = make_derivation(algebra, [])
     rho = Endomorphism.identity(algebra)
+    word = []
     u_acc = algebra.one()
     current = f
     while True:
@@ -257,13 +283,17 @@ def _radical_tower(f):
                     raise DecompositionError(
                         f"level-{n} residue {p} of {a} starts but does not end with it")
             if returning:
-                x_assign.append((a, algebra.element(returning).scale(-1)))
+                x_assign.append((a, algebra.element(returning)))
         if x_assign:
-            d_step = make_derivation(algebra, x_assign)
-            step = exponentiate(d_step)
-            current = step.compose(current)
-            rho = rho.compose(step.inverse)
-            u_acc = step.apply(u_acc)
+            w = make_derivation(algebra, x_assign)
+            if CYCLE not in w.type_tags:
+                raise DecompositionError(
+                    f"level-{n} returning residues are not cycle type")
+            step = exponentiate(w)
+            current = step.inverse.compose(current)
+            rho = rho.compose(step)
+            word.append((w, step))
+            u_acc = step.inverse.apply(u_acc)
         # stage C: the rest of the level must be left maximal; exponentiate away
         m_assign = []
         for a in sorted(algebra.quiver.arrow_by_name):
@@ -296,14 +326,16 @@ def _radical_tower(f):
         match = _solve_inner_match(rho)
         if match is not None:
             u_acc = u_acc * match.value
-            rho = Endomorphism.identity(algebra)
-    return d_acc, rho, u_acc
+            rho, word = Endomorphism.identity(algebra), []
+    return d_acc, rho, tuple(word), u_acc
 
 
 def _solve_inner_match(rho):
     """Unit u congruent to 1 with conjugation by u equal to rho, or None,
     solved on 1 + the radical paths."""
-    u = _solve_intertwiner(rho, rho.algebra.radical_paths(), {})
+    algebra = rho.algebra
+    images = {g: rho.image_of_path(g) for g in algebra.generators()}
+    u = _solve_intertwiner(images, algebra.radical_paths(), {})
     if u is None:
         return None
     unit = invert_unit(u)
@@ -316,7 +348,9 @@ def _solve_inner_match(rho):
 def decompose_string(f):
     """Decompose a vertex-fixing graded-identity automorphism of a
     finite-dimensional string presentation into [exponential,
-    endpoint-preserving, inner] factors with exact recomposition."""
+    endpoint-preserving, inner] factors with exact recomposition, by
+    `decompose_general`: on this domain its peel, block stage and vertex
+    correction leave the radical tower's factors as they are."""
     algebra = f.algebra
     if not algebra.presentation.is_finite_dimensional:
         raise ShapeError("decompose_string requires a finite-dimensional presentation")
@@ -326,15 +360,15 @@ def decompose_string(f):
     if not flags.fixes_vertices or not flags.graded_identity:
         raise CertificationError(
             "decompose_string requires a vertex-fixing graded-identity input")
-    return _verified(Decomposition(_tower_factors(*_radical_tower(f))), f)
+    return decompose_general(f)
 
 
-def _tower_factors(d, rho, u_value):
+def _tower_factors(d, rho, word, u_value):
     """The [exponential, endpoint-preserving, inner] factors exp(d), rho
-    and conjugation by the unit u_value."""
+    with the derivations of its word, and conjugation by the unit u_value."""
     unit = invert_unit(u_value)
-    return (Factor(EXP_MAXIMAL, exponentiate(d), derivation=d),
-            Factor(ENDPOINT_PRESERVING, rho),
+    return (Factor(EXP_MAXIMAL, exponentiate(d), derivations=(d,)),
+            Factor(ENDPOINT_PRESERVING, rho, derivations=tuple(w for w, _ in word)),
             Factor(INNER, inner_automorphism(unit), unit=unit))
 
 
@@ -362,22 +396,16 @@ def decompose_general(f, degree_cap=32):
             raise DecompositionError("graded correction failed")
     # stage 1: strip parallel-maximal-path terms
     d1, g1 = peel_maximal(g)
-    # stage 2: one inner unit per infinite maximal path
+    # stage 2: one inner unit per infinite maximal path, solved on its block
     # the blocks multiply to zero: 1 + Σ(u_i - 1) has inverse 1 + Σ(u_i⁻¹ - 1)
-    u2_value = u2_inverse = algebra.one()
+    one = algebra.one()
+    u2_value = u2_inverse = one
     for index in range(len(algebra.infinite_cycles())):
-        sub = component_algebra(algebra, index)
-        fi = _restrict_to_block(g1, index, sub)
-        if sub.is_polynomial_ring:
-            if not fi.is_identity():
-                raise DecompositionError(
-                    f"block {index} is a polynomial ring but is moved")
-            continue
-        unit_i = solve_conjugation_unique_max(fi, degree_cap=degree_cap)
-        u2_value = u2_value + algebra.element((unit_i.value - sub.one()).terms)
-        u2_inverse = u2_inverse + algebra.element((unit_i.inverse - sub.one()).terms)
+        unit_i = _block_unit(g1, index, degree_cap)
+        u2_value = u2_value + (unit_i.value - one)
+        u2_inverse = u2_inverse + (unit_i.inverse - one)
     u2 = Unit(u2_value, u2_inverse)
-    g2 = inner_automorphism(u2).inverse.compose(g1)
+    g2 = inner_automorphism(u2.swapped()).compose(g1)
     for a in sorted(algebra.cycle_arrows()):
         if g2.arrow_images[a] != algebra.arrow(a):
             raise DecompositionError(f"block correction left arrow {a} moved")
@@ -393,59 +421,16 @@ def decompose_general(f, degree_cap=32):
     u3 = invert_unit(u3_value)
     g3 = inner_automorphism(u3).compose(g2)
     # stage 3: radical tower
-    d_acc, rho, u4_value = _radical_tower(g3)
-    # assemble: g = exp(d_acc - d1) o rho o conj(u_final)
+    d_acc, rho, word, u4_value = _radical_tower(g3)
+    # assemble: g = exp(d_acc - d1) o rho o conj(u_final), with
+    # u_final = u4 * rho^-1(exp(-d_acc)(u3^-1 * u2)) and
+    # rho^-1 = exp(w_k)^-1 o ... o exp(w_1)^-1 run in the word's order
     d_total = d_acc.plus(d1.negated())
-    w = u3.inverse * u2.value
-    exp_acc_inv = exponentiate(d_acc).inverse
-    u_final_value = u4_value * rho.inverse.apply(exp_acc_inv.apply(w))
-    factors.extend(_tower_factors(d_total, rho, u_final_value))
+    x = exponentiate(d_acc.negated()).apply(u3.inverse * u2.value)
+    for _, step in word:
+        x = step.inverse.apply(x)
+    factors.extend(_tower_factors(d_total, rho, word, u4_value * x))
     return _verified(Decomposition(tuple(factors)), f)
-
-
-def component_algebra(algebra, index):
-    """Standalone presentation of one infinite-maximal-path block."""
-    key = ("component_algebra", index)
-    if key in algebra._cache:
-        return algebra._cache[key]
-    cyc = algebra.infinite_cycles()[index]
-    names = set(cyc)
-    q = algebra.quiver
-    vertices = sorted({q.source(a) for a in names} | {q.target(a) for a in names})
-    arrows = [(a.name, a.source, a.target)
-              for a in q.arrows if a.name in names]
-    gens = [g for g in algebra.relations if set(g.arrows) <= names]
-    sub_quiver = Quiver(vertices, arrows)
-    pres = AlgebraPresentation.build(sub_quiver, RelationSet(sub_quiver, gens))
-    if pres.classification != "locally-gentle":
-        raise InvariantError(
-            "component algebra",
-            f"infinite-maximal-path block is {pres.classification}, not locally gentle")
-    sub = PathAlgebra(pres, max_path_length=algebra.max_path_length)
-    algebra._cache[key] = sub
-    return sub
-
-
-def _restrict_to_block(f, index, sub):
-    """Automorphism induced on one infinite-maximal-path block."""
-    algebra = f.algebra
-    def block_part(x):
-        return sub.element({p: c for p, c in x.terms.items()
-                            if component_of_path(algebra, p) == index})
-    vertex_images = {}
-    for v in sub.quiver.vertices:
-        vertex_images[v] = sub.stationary(v) + block_part(
-            f.vertex_images[v] - algebra.stationary(v))
-    arrow_images = {}
-    for a in sub.quiver.arrow_by_name:
-        arrow_images[a] = sub.arrow(a) + block_part(
-            f.arrow_images[a] - algebra.arrow(a))
-    g = Endomorphism(sub, vertex_images, arrow_images)
-    try:
-        return verify_endomorphism(g)
-    except CertificationError as exc:
-        raise DecompositionError(
-            f"restriction to block {index} is not an endomorphism: {exc}") from exc
 
 
 def _verified(decomposition, f):

@@ -9,15 +9,15 @@ automorphism keeps its unit, and composing with it conjugates each generator
 image instead.  Certification checks the defining identities of the
 presentation exactly, after which the map is trusted as an algebra
 endomorphism; a composite of certified maps and conjugation by a verified
-unit are certified by construction and are not checked again.  A composite
-of invertible maps keeps its factors and builds its inverse on first read.
+unit are certified by construction and are not checked again.  Identity,
+graded, exponential and inner maps carry their inverses; a composite carries
+none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from .errors import (CapExceededError, CertificationError, DerivationError,
                      NotAUnitError, ShapeError)
@@ -35,8 +35,9 @@ OTHER = "other"
 
 
 class Endomorphism:
-    """Algebra endomorphism determined by generator images; with `unit` it is
-    conjugation x -> unit.inverse * x * unit.value."""
+    """Algebra endomorphism determined by generator images; `inverse` is the
+    inverse map or None, and with `unit` it is conjugation
+    x -> unit.inverse * x * unit.value."""
 
     def __init__(self, algebra, vertex_images, arrow_images, certified=False,
                  inverse=None, unit=None):
@@ -50,19 +51,6 @@ class Endomorphism:
         self.certified = certified
         self.inverse = inverse
         self.unit = unit
-
-    @property
-    def inverse(self):
-        """The inverse map or None; a composite builds it on the first read."""
-        if self._parts is not None:
-            g = reduce(lambda acc, h: h.inverse._compose_raw(acc), self._parts[1:],
-                       self._parts[0].inverse)
-            self.inverse, g.inverse = g, self
-        return self._inverse
-
-    @inverse.setter
-    def inverse(self, value):
-        self._inverse, self._parts = value, None
 
     @staticmethod
     def identity(algebra):
@@ -101,7 +89,8 @@ class Endomorphism:
             out = out + self.image_of_path(p, memo).scale(c)
         return out
 
-    def _compose_raw(self, other):
+    def compose(self, other):
+        """self after other: (self.compose(other))(x) = self(other(x))."""
         if other.algebra is not self.algebra:
             raise ValueError("endomorphisms of different algebras")
         memo = {}
@@ -110,13 +99,6 @@ class Endomorphism:
             {v: self.apply(img, memo) for v, img in other.vertex_images.items()},
             {a: self.apply(img, memo) for a, img in other.arrow_images.items()},
             certified=self.certified and other.certified)
-
-    def compose(self, other):
-        """self after other: (self.compose(other))(x) = self(other(x))."""
-        f = self._compose_raw(other)
-        if all(g._inverse is not None or g._parts is not None for g in (self, other)):
-            f._parts = (self._parts or (self,)) + (other._parts or (other,))
-        return f
 
     def __eq__(self, other):
         return (isinstance(other, Endomorphism) and self.algebra is other.algebra

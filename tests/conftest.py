@@ -134,6 +134,17 @@ relation a1 b2
 relation b1 a2
 """
 
+# one free loop beside an arrow it cannot continue into: its infinite-cycle
+# block is the polynomial ring k[x]; kept out of SOURCES and the suites
+# that run over it
+FREE_LOOP = """
+vertex 1
+vertex 2
+arrow x : 1 -> 1
+arrow a : 1 -> 2
+relation x a
+"""
+
 SOURCES = {
     "two_cycle_rel": TWO_CYCLE_REL,
     "one_loop": ONE_LOOP,

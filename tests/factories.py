@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from stringalg.maximal import classify_maximal, rotation_sum
 from stringalg.morphisms import (Endomorphism, exponentiate, inner_automorphism,
-                                 invert_unit, make_derivation)
+                                 invert_unit, make_derivation, verify_endomorphism)
 
 
 def derivation_targets(algebra, max_degree=8):
@@ -97,3 +97,17 @@ def random_graded_identity_automorphism(rng, algebra, pieces=3,
         else:
             f = random_inner(rng, algebra, paths).compose(f)
     return f
+
+
+def random_graded_symmetric(rng, algebra, vertex_swap, arrow_swap, pieces=2):
+    """A graded symmetry composed, on a random side, with a random
+    graded-identity automorphism.  The symmetry maps e_v to e_(vertex_swap
+    of v) and each arrow a to a random nonzero multiple of arrow_swap[a];
+    vertices missing from vertex_swap stay put."""
+    symmetry = verify_endomorphism(Endomorphism(
+        algebra,
+        {v: algebra.stationary(vertex_swap.get(v, v)) for v in algebra.quiver.vertices},
+        {a: algebra.arrow(arrow_swap[a]).scale(rng.choice((-3, -1, 1, 2, Fraction(1, 2))))
+         for a in algebra.quiver.arrow_by_name}))
+    f = random_graded_identity_automorphism(rng, algebra, pieces)
+    return symmetry.compose(f) if rng.random() < 0.5 else f.compose(symmetry)

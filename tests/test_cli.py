@@ -8,7 +8,7 @@ from stringalg import _smith, decompose
 from stringalg.cli import run
 from stringalg.polymat import MAX_PARSE_DEGREE, PolyMatrix, _pairs
 
-from conftest import (CYCLE_PENDANT, DOUBLED_THREE_CYCLE, KRONECKER,
+from conftest import (CYCLE_PENDANT, DOUBLED_THREE_CYCLE, FREE_LOOP, KRONECKER,
                       TWO_CYCLE_FREE, TWO_CYCLE_REL)
 from test_compose import wrong_unit_tower
 
@@ -148,6 +148,14 @@ def test_decompose_rejects_uncertifiable(files, capsys):
     q = files("q.quiver", TWO_CYCLE_REL)
     m = files("f.map", "map a = 1*a + 1*a.b\n")
     assert run(["decompose", q, m]) == 3
+
+
+def test_decompose_moved_free_loop_exit(files, capsys):
+    q = files("q.quiver", FREE_LOOP)
+    assert run(["decompose", q, files("f.map", "map x = 1*x + 1*x.x\n")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: block 0 is a polynomial ring but is moved\n"
 
 
 def test_decompose_wrong_inner_factor_is_certification_failure(files, capsys, monkeypatch):

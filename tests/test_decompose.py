@@ -4,20 +4,24 @@ import random
 
 import pytest
 
+from stringalg import decompose
 from stringalg.decompose import (ENDPOINT_PRESERVING, EXP_MAXIMAL, GRADED,
                                  INNER, decompose_general, decompose_string,
                                  outer_class, peel_maximal,
                                  solve_conjugation_unique_max, _solve_inner_match,
                                  _solve_intertwiner)
-from stringalg.errors import CapExceededError, CertificationError, ShapeError
+from stringalg.errors import (CapExceededError, CertificationError,
+                              DecompositionError, ShapeError)
 from stringalg.maximal import parallel_maximal
-from stringalg.morphisms import (Endomorphism, exponentiate, inner_automorphism,
-                                 invert_unit, make_derivation, parse_endomorphism,
-                                 verify_endomorphism)
+from stringalg.morphisms import (CYCLE, MAXIMAL, Endomorphism, exponentiate,
+                                 inner_automorphism, invert_unit, make_derivation,
+                                 parse_endomorphism, verify_endomorphism)
 
-from conftest import SOURCES, make_algebra
+from conftest import FREE_LOOP, SOURCES, make_algebra
 from factories import (derivation_targets, elementary_unit_paths,
-                       random_graded_identity_automorphism, random_inner)
+                       random_graded_identity_automorphism, random_graded_symmetric,
+                       random_inner)
+from test_compose import _criterion_5_items
 
 
 def certified(algebra, text):
@@ -118,6 +122,19 @@ def test_non_automorphism_exhausts_solver_cap(cycle_free):
         decompose_general(f, degree_cap=6)
 
 
+def test_moved_free_loop_block_is_rejected():
+    # the block of the loop x is k[x], where conjugation moves nothing:
+    # x -> x + x.x is certified but not onto, and no unit conjugates it
+    algebra = make_algebra(FREE_LOOP)
+    assert algebra.infinite_cycles() == (("x",),)
+    for f in (Endomorphism.identity(algebra), certified(algebra, "map a = 1*a")):
+        assert all(factor.is_trivial for factor in decompose_general(f).factors)
+    f = certified(algebra, "map x = 1*x + 1*x.x")
+    with pytest.raises(DecompositionError,
+                       match="^block 0 is a polynomial ring but is moved$"):
+        decompose_general(f)
+
+
 # -- the one-cycle conjugation solver ----------------------------------------------
 
 
@@ -158,12 +175,13 @@ def test_solver_memo_matches_fresh_solves():
             before = dict(vars(f))
             unit = solve_conjugation_unique_max(f)
             assert vars(f) == before and all(vars(f)[k] is v for k, v in before.items())
+            images = {g: f.apply(algebra.path_element(g)) for g in algebra.generators()}
             memo = {}
             for degree in range(33):
                 support = [p for p in algebra.enumerate_basis((degree + 1) * len(cycle))
                            if not p.is_stationary and p.arrows.count(cycle[-1]) <= degree]
-                fresh = _solve_intertwiner(f, support, {})
-                assert _solve_intertwiner(f, support, memo) == fresh, (name, degree)
+                fresh = _solve_intertwiner(images, support, {})
+                assert _solve_intertwiner(images, support, memo) == fresh, (name, degree)
                 if fresh is not None:
                     assert invert_unit(fresh).value == unit.value, name
                     break
@@ -325,3 +343,68 @@ def test_outer_class_rejects_non_gentle(ex_string):
 def test_outer_class_rejects_polynomial_ring(poly_ring):
     with pytest.raises(ShapeError):
         outer_class(poly_ring)
+
+
+def test_graded_symmetries_lead_with_a_graded_factor():
+    rng = random.Random(37)
+    cycle_swap = ({"1": "2", "2": "1"}, {"a": "b", "b": "a"})
+    cases = [("two_cycle_free", cycle_swap), ("two_cycle_rel", cycle_swap),
+             ("kronecker", ({}, {"a": "b", "b": "a"}))]
+    for name, (vertex_swap, arrow_swap) in cases:
+        algebra = make_algebra(SOURCES[name])
+        for _ in range(12):
+            f = random_graded_symmetric(rng, algebra, vertex_swap, arrow_swap)
+            dec = decompose_general(f)
+            assert dec.factors[0].kind == GRADED, name
+            assert dec.compose() == f, name
+
+
+# -- the paper's word ---------------------------------------------------------------
+
+
+def _decomposed_items():
+    """Decompositions of the first 30 criterion-5 items and of seeded
+    vertex-fixing automorphisms of the finite-dimensional string fixtures."""
+    for f in _criterion_5_items(30):
+        yield decompose_general(f)
+    rng = random.Random(41)
+    for name in ("two_cycle_rel", "kronecker", "double_diamond", "doubled_line"):
+        algebra = make_algebra(SOURCES[name])
+        paths = elementary_unit_paths(algebra, cycles_only=True)
+        for _ in range(5):
+            yield decompose_string(
+                random_graded_identity_automorphism(rng, algebra, paths=paths))
+
+
+def test_factor_words_compose_to_their_factors():
+    # exp-maximal = exp(d) with d of maximal type; endpoint-preserving =
+    # exp(w_1) o ... o exp(w_k) with every w_i of cycle type
+    tags = {EXP_MAXIMAL: MAXIMAL, ENDPOINT_PRESERVING: CYCLE}
+    words = 0
+    for dec in _decomposed_items():
+        for factor in dec.factors:
+            if factor.kind not in tags:
+                assert factor.derivations == ()
+                continue
+            assert all(tags[factor.kind] in w.type_tags for w in factor.derivations)
+            g = Endomorphism.identity(factor.endomorphism.algebra)
+            for w in factor.derivations:
+                g = g.compose(exponentiate(w))
+            assert g == factor.endomorphism, factor.kind
+            words += factor.kind == ENDPOINT_PRESERVING and len(factor.derivations) > 0
+    assert words > 0
+
+
+def test_returning_residues_must_be_cycle_type(monkeypatch):
+    f = next(f for f in _criterion_5_items(30)
+             if decompose_general(f).factor(ENDPOINT_PRESERVING).derivations)
+    build = decompose.make_derivation
+
+    def without_cycle_tag(algebra, assignments):
+        d = build(algebra, assignments)
+        d.type_tags = d.type_tags - {CYCLE}
+        return d
+
+    monkeypatch.setattr(decompose, "make_derivation", without_cycle_tag)
+    with pytest.raises(DecompositionError, match="returning residues are not cycle type"):
+        decompose_general(f)

@@ -3,27 +3,30 @@ decomposition pipeline.
 
 Each digest is the SHA-256 of one output's text: the `format_element` of an
 inverse from `invert_unit` or of a unit from `solve_conjugation_unique_max`,
-or the rendered factors of a `decompose_general` result (kind, triviality,
-and the unit or the map).  The inputs are seeded products of elementary
-units on every cycle fixture, the seeded streams of
-`test_solver_on_random_inners` and the first 30 mixed items of acceptance
-criterion 5, so any change in which inverse, unit or factors the library
-returns shows here."""
+or the rendered factors of a `decompose_general` or `decompose_string`
+result (kind, triviality, and the unit or the map).  The inputs are seeded
+products of elementary units on every cycle fixture, the seeded streams of
+`test_solver_on_random_inners`, the first 30 mixed items of acceptance
+criterion 5 and seeded vertex-fixing automorphisms of the
+finite-dimensional string fixtures, so any change in which inverse, unit or
+factors the library returns shows here."""
 
 import hashlib
 import random
 from fractions import Fraction
 
 from stringalg import Path, format_element
-from stringalg.decompose import decompose_general, solve_conjugation_unique_max
+from stringalg.decompose import (decompose_general, decompose_string,
+                                 solve_conjugation_unique_max)
 from stringalg.morphisms import format_endomorphism, invert_unit
 
 from conftest import SOURCES, make_algebra
-from factories import (elementary_unit_paths, random_inner, random_unit_factors,
-                       unit_product)
+from factories import (elementary_unit_paths, random_graded_identity_automorphism,
+                       random_inner, random_unit_factors, unit_product)
 
 CYCLE_FIXTURES = ("two_cycle_free", "three_cycle_free", "two_loops",
                   "cycle_pendant", "cycle_with_diamond")
+STRING_FIXTURES = ("two_cycle_rel", "kronecker", "double_diamond", "doubled_line")
 
 INVERSE_GOLDENS = [
     "333c67f2e08c6f4cda5535cf03bc03b8281b34ddf1df419584aa31dd0ac831bb",
@@ -130,6 +133,50 @@ DECOMPOSITION_GOLDENS = [
 ]
 
 
+STRING_DECOMPOSITION_GOLDENS = [
+    "68554a1685a56c128a43be010a53050ede890d68e1f7103ffa41c6c084af3390",
+    "4f9b4651f0278795aef81c2c828c0748b505ed8ecae4cd3174be3f0161e4e4c2",
+    "544a222c0becfc6efbddda6a629793bd8387d99987b43045b517b5564f944b52",
+    "529634f2d19b8f5dcf2980776cce67ff1d503da57ef7feec22dbfa47355fffab",
+    "296464ebb28c3e73b50f70cb43125a70569da0376bdadfb066bb6d55e70a5684",
+    "5e34a759c3d7f63b671c4e9a664fdc8980aa1731c44b3aea6390bd7cd718c87a",
+    "64b422078c6db292f404324cad4ab514680a50f7074acdf32eaa8eae7f7518da",
+    "43fbbc9505d6dedc5a3370cd1ca7f9e7f82994cfd17095578fcef0dcfbd7b62a",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7757124d1c1fa79dc1ee60d80c422e374dbc25450d32769b2c0cf9006c9e54c9",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "47b9a05de1d1c73108603dbfab4714e37563e47c4565d43a2ade4399de0eb0d5",
+    "7e254094b03a2dad05f7d4776d90b5fefe9453e7a4bad90f1830decab1f167a2",
+    "43ab0755863060cd71ee3bd9f6cf29a01988330bd2bc73c0cc6fe4b6d5c287c1",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "56d1e5e458b1d21c3383bb7adc9a3089510aa84229d941c74a2952590452bc1b",
+    "1033b3ad37aa09ad355bf39772a277e30ce92428b02f2aecb16b0104cf34f2a0",
+    "7b245acf0f28c09c181372f5b99278adca0fc3829a6e303f7989f77d7106deeb",
+    "47b9a05de1d1c73108603dbfab4714e37563e47c4565d43a2ade4399de0eb0d5",
+    "43ab0755863060cd71ee3bd9f6cf29a01988330bd2bc73c0cc6fe4b6d5c287c1",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+    "7a3549b26c2059a41c18020abdc805a43eb083fe8dd9f56ea816352cd749336c",
+]
+
+
 def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -165,17 +212,34 @@ def solver_unit_texts():
             yield format_element(unit.value)
 
 
+def _render(decomposition):
+    lines = []
+    for factor in decomposition.factors:
+        lines.append(f"factor {factor.kind} trivial={factor.is_trivial}")
+        if factor.unit is not None:
+            lines.append(f"unit {format_element(factor.unit.value)}")
+        elif not factor.is_trivial:
+            lines.append(format_endomorphism(factor.endomorphism))
+    return "\n".join(lines)
+
+
 def decomposition_texts():
     """The rendered decompositions of the first 30 criterion-5 mixed items."""
     for f in _criterion_5_items(30):
-        lines = []
-        for factor in decompose_general(f).factors:
-            lines.append(f"factor {factor.kind} trivial={factor.is_trivial}")
-            if factor.unit is not None:
-                lines.append(f"unit {format_element(factor.unit.value)}")
-            elif not factor.is_trivial:
-                lines.append(format_endomorphism(factor.endomorphism))
-        yield "\n".join(lines)
+        yield _render(decompose_general(f))
+
+
+def string_decomposition_texts():
+    """The rendered `decompose_string` results of ten seeded automorphisms
+    per finite-dimensional string fixture, drawn from exponentials and
+    conjugations by units on closed paths, so every one fixes the vertices."""
+    rng = random.Random(29)
+    for name in STRING_FIXTURES:
+        algebra = make_algebra(SOURCES[name])
+        paths = elementary_unit_paths(algebra, cycles_only=True)
+        for _ in range(10):
+            f = random_graded_identity_automorphism(rng, algebra, paths=paths)
+            yield _render(decompose_string(f))
 
 
 def test_inverses_are_pinned():
@@ -188,3 +252,8 @@ def test_solver_units_are_pinned():
 
 def test_decompositions_are_pinned():
     assert [_digest(t) for t in decomposition_texts()] == DECOMPOSITION_GOLDENS
+
+
+def test_string_decompositions_are_pinned():
+    assert [_digest(t) for t in string_decomposition_texts()] == \
+        STRING_DECOMPOSITION_GOLDENS
