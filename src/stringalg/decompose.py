@@ -227,7 +227,7 @@ def _radical_tower(f):
 
     Returns (d, rho, word, u) with f = exp(d) o rho o conj(u) exactly; d is
     a maximal-type derivation, u a unit congruent to 1, and
-    rho = exp(w_1) o ... o exp(w_k) over the pairs (w_i, exp(w_i)) of word,
+    rho = exp(w_1) o ... o exp(w_k) over the pairs (w_i, exp(-w_i)) of word,
     the w_i cycle-type derivations, one per level that has returning terms.
     When rho is itself inner, it is absorbed into u and returned as the
     identity with an empty word.
@@ -289,11 +289,11 @@ def _radical_tower(f):
             if CYCLE not in w.type_tags:
                 raise DecompositionError(
                     f"level-{n} returning residues are not cycle type")
-            step = exponentiate(w)
-            current = step.inverse.compose(current)
-            rho = rho.compose(step)
-            word.append((w, step))
-            u_acc = step.inverse.apply(u_acc)
+            step_inverse = exponentiate(w.negated())
+            current = step_inverse.compose(current)
+            rho = rho.compose(exponentiate(w))
+            word.append((w, step_inverse))
+            u_acc = step_inverse.apply(u_acc)
         # stage C: the rest of the level must be left maximal; exponentiate away
         m_assign = []
         for a in sorted(algebra.quiver.arrow_by_name):
@@ -424,11 +424,11 @@ def decompose_general(f, degree_cap=32):
     d_acc, rho, word, u4_value = _radical_tower(g3)
     # assemble: g = exp(d_acc - d1) o rho o conj(u_final), with
     # u_final = u4 * rho^-1(exp(-d_acc)(u3^-1 * u2)) and
-    # rho^-1 = exp(w_k)^-1 o ... o exp(w_1)^-1 run in the word's order
+    # rho^-1 = exp(-w_k) o ... o exp(-w_1) run in the word's order
     d_total = d_acc.plus(d1.negated())
     x = exponentiate(d_acc.negated()).apply(u3.inverse * u2.value)
-    for _, step in word:
-        x = step.inverse.apply(x)
+    for _, step_inverse in word:
+        x = step_inverse.apply(x)
     factors.extend(_tower_factors(d_total, rho, word, u4_value * x))
     return _verified(Decomposition(tuple(factors)), f)
 

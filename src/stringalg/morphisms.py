@@ -9,9 +9,10 @@ automorphism keeps its unit, and composing with it conjugates each generator
 image instead.  Certification checks the defining identities of the
 presentation exactly, after which the map is trusted as an algebra
 endomorphism; a composite of certified maps and conjugation by a verified
-unit are certified by construction and are not checked again.  Identity,
-graded, exponential and inner maps carry their inverses; a composite carries
-none.
+unit are certified by construction and are not checked again.  Only the
+identity and graded maps carry their inverses; exponential, inner and
+composite maps carry none.  The inverse of exp(d) is exp(-d), and the inverse
+of conjugation by u is conjugation by u^-1.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ OTHER = "other"
 
 class Endomorphism:
     """Algebra endomorphism determined by generator images; `inverse` is the
-    inverse map or None, and with `unit` it is conjugation
+    inverse map, set only on the identity and on graded maps by
+    `invert_graded`, and None otherwise; with `unit` it is conjugation
     x -> unit.inverse * x * unit.value."""
 
     def __init__(self, algebra, vertex_images, arrow_images, certified=False,
-                 inverse=None, unit=None):
+                 unit=None):
         self.algebra = algebra
         self.vertex_images = dict(vertex_images)
         self.arrow_images = dict(arrow_images)
@@ -49,7 +51,7 @@ class Endomorphism:
         if missing:
             raise ValueError(f"missing generator images: {sorted(missing)}")
         self.certified = certified
-        self.inverse = inverse
+        self.inverse = None
         self.unit = unit
 
     @staticmethod
@@ -268,12 +270,13 @@ class Derivation:
             out = out + self.apply_path(p).scale(c)
         return out
 
-    def scaled(self, c):
-        return make_derivation(
-            self.algebra, [(a, img.scale(c)) for a, img in self.arrow_images.items()])
-
     def negated(self):
-        return self.scaled(-1)
+        """-d, with the same target paths and type tags, not checked again:
+        the relations still vanish by linearity, and neither the target
+        conditions nor the tags depend on signs."""
+        return Derivation(self.algebra,
+                          {a: -img for a, img in self.arrow_images.items()},
+                          self.type_tags)
 
     def plus(self, other):
         merged = dict(self.arrow_images)
@@ -357,15 +360,9 @@ def exponentiate(d, cap=None):
     Iterates the derivation on each generator until it vanishes, dividing by
     factorials; raises CapExceededError when the iteration cap is hit (the
     derivation is then not locally nilpotent, or the cap is too small).
-    The returned endomorphism is certified and carries its inverse.
+    The returned endomorphism is certified and carries no inverse; the
+    inverse is exponentiate(d.negated()).
     """
-    f = _exponential(d, cap)
-    g = _exponential(d.negated(), cap)
-    f.inverse, g.inverse = g, f
-    return f
-
-
-def _exponential(d, cap):
     algebra = d.algebra
     cap = cap if cap is not None else default_nilpotency_cap(algebra)
     arrow_images = {}
@@ -477,21 +474,19 @@ def inner_automorphism(u):
     """Conjugation by a unit whose degree-zero part is the identity.
 
     Certified without a check: the unit's two-sided inverse was verified
-    exactly, so x -> u^-1 * x * u is an automorphism with inverse
-    x -> u * x * u^-1.
+    exactly, so x -> u^-1 * x * u is an automorphism.  It carries no
+    inverse; the inverse is inner_automorphism(u.swapped()).
     """
     if not isinstance(u, Unit):
         u = invert_unit(u)
     algebra = u.value.algebra
     if u.value.degree_part(0) != algebra.one():
         raise NotAUnitError("conjugation requires a unit congruent to 1 mod positive degree")
-    f, g = (Endomorphism(
+    return Endomorphism(
         algebra,
-        {v: w.inverse * algebra.stationary(v) * w.value for v in algebra.quiver.vertices},
-        {a: w.inverse * algebra.arrow(a) * w.value for a in algebra.quiver.arrow_by_name},
-        certified=True, unit=w) for w in (u, u.swapped()))
-    f.inverse, g.inverse = g, f
-    return f
+        {v: u.inverse * algebra.stationary(v) * u.value for v in algebra.quiver.vertices},
+        {a: u.inverse * algebra.arrow(a) * u.value for a in algebra.quiver.arrow_by_name},
+        certified=True, unit=u)
 
 
 # -- morphism file format -----------------------------------------------------

@@ -138,10 +138,10 @@ def test_criterion_4_derivation_exponential_suite():
             if MAXIMAL in d.type_tags:
                 for p in basis:
                     assert d.apply(d.apply_path(p)).is_zero
-            # exponential round trip
-            f = exponentiate(d)
-            assert f.compose(f.inverse).is_identity()
-            assert f.inverse.compose(f).is_identity()
+            # exponential round trip: exp(d)^-1 = exp(-d)
+            f, f_inverse = exponentiate(d), exponentiate(d.negated())
+            assert f.compose(f_inverse).is_identity()
+            assert f_inverse.compose(f).is_identity()
             # commutation: maximal-type kills and is killed by cycle/maximal
             if MAXIMAL in d.type_tags:
                 other = make_derivation(

@@ -198,9 +198,10 @@ def test_exponential_of_cycle_type(ex_string):
     d = make_derivation(ex_string, [("a", ex_string.path_element(("a", "b", "a")))])
     f = exponentiate(d)
     assert f.arrow_images["a"] == ex_string.arrow("a") + ex_string.path_element(("a", "b", "a"))
-    assert f.inverse is not None
-    assert f.compose(f.inverse).is_identity()
-    assert f.inverse.compose(f).is_identity()
+    assert f.inverse is None
+    f_inverse = exponentiate(d.negated())
+    assert f.compose(f_inverse).is_identity()
+    assert f_inverse.compose(f).is_identity()
 
 
 def test_exponential_of_zero_is_identity(ex_string):
@@ -211,9 +212,19 @@ def test_exp_inverse_round_trip_randomized():
     rng = random.Random(23)
     for name in ("two_cycle_rel", "double_diamond", "cycle_with_diamond"):
         algebra = make_algebra(SOURCES[name])
-        for d in _random_derivations(rng, algebra, 10):
-            f = exponentiate(d)
-            assert f.compose(f.inverse).is_identity(), name
+        for d in _random_derivations(rng, algebra, 10) + [make_derivation(algebra, [])]:
+            # the trusted negation matches a certified -d and undoes itself
+            minus = d.negated()
+            checked = make_derivation(
+                algebra, [(a, -img) for a, img in d.arrow_images.items()])
+            assert minus.arrow_images == checked.arrow_images, name
+            assert minus.type_tags == checked.type_tags, name
+            twice = minus.negated()
+            assert twice.arrow_images == d.arrow_images, name
+            assert twice.type_tags == d.type_tags, name
+            f, f_inverse = exponentiate(d), exponentiate(minus)
+            assert f.compose(f_inverse).is_identity(), name
+            assert f_inverse.compose(f).is_identity(), name
 
 
 def _valid_targets(algebra):
