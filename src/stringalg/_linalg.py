@@ -24,6 +24,8 @@ def _rref(rows, ncols):
             if c >= ncols:
                 return None
             inv = Fraction(1) / row[c]
+            if inv.denominator == 1:  # a pivot of 1 or -1 keeps integral rows integral
+                inv = inv.numerator
             pivots[c] = {j: v * inv for j, v in row.items()}
             break
     for c in sorted(pivots, reverse=True):
@@ -65,7 +67,7 @@ def solve_affine(rows, ncols):
 def matrix_inverse(rows):
     """Inverse of a square dense rational matrix, or None when singular."""
     n = len(rows)
-    pivots = _rref([{**{j: v for j, v in enumerate(row) if v}, n + i: 1}
+    pivots = _rref([{**{j: v for j, v in enumerate(row) if v}, n + i: Fraction(1)}
                     for i, row in enumerate(rows)], n)
     if pivots is None:
         return None

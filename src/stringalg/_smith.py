@@ -12,7 +12,7 @@ constant term first; a rational polynomial is a pair (den, numerators).
 import math
 from collections import Counter
 
-from .errors import InvariantError
+from .errors import CapExceededError, InvariantError
 
 PRIME_BITS = 512
 # the smallest odd c for which 2**512 - c is a probable prime, in order
@@ -32,6 +32,8 @@ PRIME_OFFSETS = (
     40983, 41057)
 # bits of slack demanded of a reconstruction, against accepting too early
 MARGIN = 48
+# bits of the primes one factorization may draw (128 primes)
+MAX_PRIME_BITS = 1 << 16
 
 
 def primes():
@@ -73,6 +75,8 @@ def factorizations(start):
 
     Each further candidate requested means the previous one failed its
     certificate; the elimination then starts over with further primes.
+    Raises CapExceededError before the next image once the primes drawn
+    would pass MAX_PRIME_BITS.
     """
     n = len(start)
     if (all(sum(1 for _, nums in row if nums) <= 1 for row in start)
@@ -85,8 +89,12 @@ def factorizations(start):
     done = []                   # exact levels, in order
     block, rows, cols = start, everything, everything
     images = []                 # (prime, images of the levels from block on)
-    probe, attempt = None, 1
+    probe, attempt, bits = None, 1, 0
     for p in primes():
+        if bits + p.bit_length() > MAX_PRIME_BITS:
+            raise CapExceededError(f"smith: the primes in use reached {bits} bits; "
+                                   f"one more would pass the cap of {MAX_PRIME_BITS} bits")
+        bits += p.bit_length()
         image = smith_image(block, rows, cols, p)
         if image is None:
             continue

@@ -1,18 +1,20 @@
 """Exact arithmetic in the quotient of a path algebra by a monomial ideal.
 
 Elements are finite rational combinations of basis paths (paths avoiding the
-ideal).  All arithmetic is exact over the rationals.  In a (locally) string
-algebra each arrow has at most one surviving continuation, so the basis
-paths starting with an arrow are the prefixes of one walk from it, finite or
-going round a surviving cycle forever.  A path is zero exactly when it is
-not such a prefix, and a product of basis paths is a basis path exactly
-when the joined arrows are; both are read off a table of those walks.
+ideal).  All arithmetic is exact over the rationals, with each coefficient
+an int when it is integral and a Fraction otherwise, so products of integral
+elements build no Fraction.  In a (locally) string algebra each arrow has at
+most one surviving continuation, so the basis paths starting with an arrow
+are the prefixes of one walk from it, finite or going round a surviving
+cycle forever.  A path is zero exactly when it is not such a prefix, and a
+product of basis paths is a basis path exactly when the joined arrows are;
+both are read off a table of those walks.
 
 `Element(algebra, terms)` validates its terms.  Ring operations do not
 validate their results again: their terms are basis paths, as `concat`
-returns only those, with Fraction coefficients, so only zeros are dropped.
-No code changes an element's terms in place, so each algebra builds `zero`,
-`one` and the generator elements once and shares them.
+returns only those, so only zeros are dropped and integral Fractions made
+ints.  No code changes an element's terms in place, so each algebra builds
+`zero`, `one` and the generator elements once and shares them.
 """
 
 from __future__ import annotations
@@ -25,6 +27,12 @@ from .quiver import (Path, _format_sum, _parse_coeff, _signed_terms, surviving_c
                      unique_continuation)
 
 
+def _canonical(c):
+    """The coefficient c as an int when it is integral, else as a Fraction."""
+    c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
 class Element:
     """Finite map from basis paths to nonzero rational coefficients."""
 
@@ -32,15 +40,17 @@ class Element:
 
     def __init__(self, algebra, terms):
         self.algebra = algebra
-        clean = ((p, Fraction(c)) for p, c in terms.items())
+        clean = ((p, _canonical(c)) for p, c in terms.items())
         self.terms = {p: c for p, c in clean if c and not algebra.in_ideal(p)}
 
     @classmethod
     def _trusted(cls, algebra, terms):
-        """Element of terms a ring operation built: zeros dropped, no other check."""
+        """Element of terms a ring operation built: zeros dropped, integral
+        Fractions made ints, no other check."""
         out = cls.__new__(cls)
         out.algebra = algebra
-        out.terms = {p: c for p, c in terms.items() if c}
+        out.terms = {p: c if type(c) is int else _canonical(c)
+                     for p, c in terms.items() if c}
         return out
 
     # -- ring structure ----------------------------------------------------
@@ -76,7 +86,7 @@ class Element:
         return NotImplemented
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _canonical(c)
         return Element._trusted(self.algebra, {p: c * v for p, v in self.terms.items()})
 
     def __eq__(self, other):
@@ -108,7 +118,7 @@ class Element:
         return max((p.length for p in self.terms), default=None)
 
     def coefficient(self, path):
-        return self.terms.get(path, Fraction(0))
+        return self.terms.get(path, 0)
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -138,7 +148,7 @@ class PathAlgebra:
         """The sum of the basis paths `paths()`, built once per key."""
         out = self._cache.get(key)
         if out is None:
-            out = self._cache[key] = Element(self, dict.fromkeys(paths(), Fraction(1)))
+            out = self._cache[key] = Element(self, dict.fromkeys(paths(), 1))
         return out
 
     def zero(self):
@@ -160,7 +170,7 @@ class PathAlgebra:
     def path_element(self, path, coeff=1):
         if not isinstance(path, Path):
             path = Path.of(path)
-        return Element(self, {path: Fraction(coeff)})
+        return Element(self, {path: coeff})
 
     def element(self, terms):
         return Element(self, terms)

@@ -21,7 +21,6 @@ not graded-identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from ._linalg import solve_affine
@@ -265,7 +264,7 @@ def _radical_tower(f):
             for p, c in part.terms.items():
                 if p.first_arrow == a:
                     tail = Path.of(p.arrows[1:])
-                    y_terms[tail] = y_terms.get(tail, Fraction(0)) + c
+                    y_terms[tail] = y_terms.get(tail, 0) + c
         y = algebra.element(y_terms)
         if not y.is_zero:
             v_value = algebra.one() - y

@@ -138,7 +138,7 @@ def cycle_sum(algebra, imp):
     generating cycles (one rotation per member arrow)."""
     cyc = imp.cycle.arrows
     element = algebra.element({
-        Path.of(cyc[i:] + cyc[:i]): Fraction(1) for i in range(len(cyc))})
+        Path.of(cyc[i:] + cyc[:i]): 1 for i in range(len(cyc))})
     _check_central(algebra, element, f"cycle sum of {imp}")
     return element
 
@@ -158,7 +158,7 @@ def rotation_sum(algebra, arrow_name):
         return None
     cyc = run.arrows
     element = algebra.element({
-        Path.of(cyc[i:] + cyc[:i]): Fraction(1) for i in range(len(cyc))})
+        Path.of(cyc[i:] + cyc[:i]): 1 for i in range(len(cyc))})
     _check_central(algebra, element, f"rotation sum of {arrow_name}")
     return element
 

@@ -181,7 +181,7 @@ def membership(f):
     permutes = True
     for v in algebra.quiver.vertices:
         low = f.vertex_images[v].degree_part(0)
-        if len(low.terms) != 1 or set(low.terms.values()) != {Fraction(1)}:
+        if len(low.terms) != 1 or set(low.terms.values()) != {1}:
             permutes = False
             break
         target = next(iter(low.terms)).vertex

@@ -31,7 +31,9 @@ class Path:
     """A stationary path at a vertex or a nonempty sequence of arrow names.
 
     Ordering is (length, arrow sequence), with stationary paths ordered by
-    vertex name; this is the canonical basis order used everywhere.
+    vertex name; this is the canonical basis order used everywhere.  The
+    sort key also decides equality, so it is hashed once, when the path is
+    built, and a pickled path is built again rather than carrying that hash.
     """
 
     sort_key: tuple = field(init=False, repr=False)
@@ -48,6 +50,13 @@ class Path:
             if self.vertex is None:
                 raise ValueError("stationary path needs a vertex")
             object.__setattr__(self, "sort_key", (0, self.vertex))
+        object.__setattr__(self, "_hash", hash(self.sort_key))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return (Path.of, (self.arrows,)) if self.arrows else (Path.stationary, (self.vertex,))
 
     @staticmethod
     def stationary(vertex):

@@ -171,3 +171,29 @@ def test_element_coefficients_past_the_int_str_limit(ex_string):
 
 def test_ideal_paths_collapse_to_zero(ex_string):
     assert parse_element(ex_string, "1*a.b.a.b").is_zero
+
+
+def test_integral_arithmetic_builds_no_fraction(monkeypatch):
+    """Sums and products of elements with integral coefficients stay in ints:
+    no Fraction is built on any fixture."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    rng = random.Random(3)
+    for name, source in SOURCES.items():
+        algebra = make_algebra(source)
+        basis = algebra.enumerate_basis(4)
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        x, y = (algebra.element({p: rng.randint(-5, 5)
+                                 for p in rng.sample(basis, min(5, len(basis)))})
+                for _ in range(2))
+        arrow = algebra.arrow(min(algebra.quiver.arrow_by_name))
+        results = [x * y, y * x, x + y, x - y, -x, x.scale(3), 2 * x, x * arrow,
+                   (x + algebra.one()) * (y - arrow), algebra.one() * x * algebra.one()]
+        monkeypatch.undo()
+        assert built == [], name
+        assert all(type(c) is int for r in results for c in r.terms.values()), name

@@ -1,12 +1,13 @@
 """Command-line surface: deterministic reports and exit codes."""
 
 import json
+import random
 
 import pytest
 
 from stringalg import _smith, decompose
 from stringalg.cli import run
-from stringalg.polymat import MAX_PARSE_DEGREE, PolyMatrix, _pairs
+from stringalg.polymat import MAX_PARSE_DEGREE, Poly, PolyMatrix, _pairs, format_poly_matrix
 
 from conftest import (CYCLE_PENDANT, DOUBLED_THREE_CYCLE, FREE_LOOP, KRONECKER,
                       TWO_CYCLE_FREE, TWO_CYCLE_REL)
@@ -220,6 +221,19 @@ def test_smith_failed_invariant_is_certification_failure(files, capsys, monkeypa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: smith factorization: no candidate passed its certificate\n"
+
+
+def test_smith_above_the_prime_bit_cap(files, capsys, monkeypatch):
+    # a dense 6x6 matrix of degree-4 entries whose factors swell for minutes
+    rng = random.Random(5)
+    m = PolyMatrix([[Poly([rng.randint(-9, 9) for _ in range(5)]) for _ in range(6)]
+                    for _ in range(6)])
+    monkeypatch.setattr(_smith, "MAX_PRIME_BITS", 4 * _smith.PRIME_BITS)
+    assert run(["smith", files("m.mat", format_poly_matrix(m) + "\n")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: smith: the primes in use reached 2048 bits; one more "
+                            "would pass the cap of 2048 bits\n")
 
 
 def test_smith_prints_coefficients_past_the_int_str_limit(files, capsys):

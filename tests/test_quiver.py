@@ -1,8 +1,14 @@
 """Parsing, relation minimization, and presentation classification."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
-from stringalg import Path, parse_quiver
+from stringalg import Path, PathAlgebra, parse_element, parse_quiver
 from stringalg.errors import QuiverFormatError
 
 from conftest import KRONECKER, ONE_LOOP, SOURCES, TWO_CYCLE_REL
@@ -178,3 +184,43 @@ def test_path_ordering_and_subpath():
     assert ab.contains(a)
     assert not a.contains(ab)
     assert Path.of(("a", "b", "a", "b")).contains(ab)
+
+
+def test_path_routes_agree_on_equality_and_hash():
+    """Path.of, concat and the text parsers build equal paths with equal
+    hashes, so a dict keyed by one route finds the others; so do pickled and
+    copied paths."""
+    presentation = parse_quiver(TWO_CYCLE_REL)
+    algebra = PathAlgebra(presentation)
+    a, b = Path.of(("a",)), Path.of(("b",))
+    ab = algebra.concat(a, b)
+    groups = [
+        [Path.stationary("1"), min(algebra.one().terms),
+         next(iter(parse_element(algebra, "3*e_1").terms))],
+        [Path.of(("a", "b", "a")), algebra.concat(ab, a),
+         algebra.concat(a, algebra.concat(b, a)),
+         next(iter(parse_element(algebra, "a.b.a").terms))],
+        [Path.of(("a", "b", "a", "b")), Path.of(["a", "b"] * 2),
+         next(g for g in presentation.relations if g.arrows[0] == "a")],
+    ]
+    for group in groups:
+        group += [pickle.loads(pickle.dumps(p)) for p in group]
+        group += [copy.copy(p) for p in group] + [copy.deepcopy(group[0])]
+        table = {group[0]: "found"}
+        for p in group:
+            assert p == group[0] and hash(p) == hash(group[0]) and table[p] == "found", p
+    assert len({p for group in groups for p in group}) == len(groups)
+
+
+def test_path_pickled_in_another_process_is_found():
+    """A pickle carries no hash, so a path pickled under another string hash
+    seed still finds its twin in a dict."""
+    code = ("import pickle, sys; from stringalg import Path; sys.stdout.write("
+            "pickle.dumps([Path.of(('a', 'b')), Path.stationary('1')]).hex())")
+    env = dict(os.environ, PYTHONHASHSEED="7", PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    paths = pickle.loads(bytes.fromhex(out))
+    table = {Path.of(("a", "b")): 1, Path.stationary("1"): 2}
+    assert [table[p] for p in paths] == [1, 2]
+    assert [hash(p) for p in paths] == [hash(p) for p in table]
