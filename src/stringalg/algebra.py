@@ -8,7 +8,8 @@ most one surviving continuation, so the basis paths starting with an arrow
 are the prefixes of one walk from it, finite or going round a surviving
 cycle forever.  A path is zero exactly when it is not such a prefix, and a
 product of basis paths is a basis path exactly when the joined arrows are;
-both are read off a table of those walks.
+both are read off a table of those walks, and each basis path is built once
+per algebra and shared.
 
 `Element(algebra, terms)` validates its terms.  Ring operations do not
 validate their results again: their terms are basis paths, as `concat`
@@ -69,13 +70,18 @@ class Element:
         return Element._trusted(self.algebra, {p: -c for p, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Element and isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
+        quiver = self.algebra.quiver
+        right = {}    # the right factor's terms by source vertex
+        for q, d in other.terms.items():
+            right.setdefault(quiver.path_source(q), []).append((q, d))
+        concat, target = self.algebra.concat, quiver.path_target
         terms = {}
         for p, c in self.terms.items():
-            for q, d in other.terms.items():
-                r = self.algebra.concat(p, q)
+            for q, d in right.get(target(p), ()):
+                r = concat(p, q)
                 if r is not None:
                     terms[r] = terms[r] + c * d if r in terms else c * d
         return Element._trusted(self.algebra, terms)
@@ -141,6 +147,8 @@ class PathAlgebra:
         self.max_path_length = max_path_length
         self._cache = {}
         self._walks = {}
+        # interned basis paths, by vertex or by (first arrow, length)
+        self._paths = {v: Path.stationary(v) for v in self.quiver.vertices}
 
     # -- construction helpers ------------------------------------------------
 
@@ -155,17 +163,17 @@ class PathAlgebra:
         return self._shared("zero", tuple)
 
     def one(self):
-        return self._shared("one", lambda: map(Path.stationary, self.quiver.vertices))
+        return self._shared("one", lambda: map(self._paths.get, self.quiver.vertices))
 
     def stationary(self, vertex):
         if vertex not in self.quiver.arrows_from:
             raise ValueError(f"unknown vertex {vertex}")
-        return self._shared(("e", vertex), lambda: [Path.stationary(vertex)])
+        return self._shared(("e", vertex), lambda: [self._paths[vertex]])
 
     def arrow(self, name):
         if name not in self.quiver.arrow_by_name:
             raise ValueError(f"unknown arrow {name}")
-        return self._shared(("arrow", name), lambda: [Path.of((name,))])
+        return self._shared(("arrow", name), lambda: [self.walk_path(name, 1)])
 
     def path_element(self, path, coeff=1):
         if not isinstance(path, Path):
@@ -184,13 +192,26 @@ class PathAlgebra:
         return bool(arrows) and arrows != self._walk(arrows[0], len(arrows))
 
     def concat(self, p, q):
-        """Concatenation of basis paths, or None when the product is zero."""
-        if p.is_stationary:
+        """Concatenation of basis paths, or None when the product is zero:
+        the walk from p's first arrow goes on along the walk from its next
+        arrow, so p·q is nonzero when q starts with that arrow and fits."""
+        if not p.arrows:
             return q if p.vertex == self.quiver.path_source(q) else None
-        if q.is_stationary:
+        if not q.arrows:
             return p if self.quiver.path_target(p) == q.vertex else None
-        joined = p.arrows + q.arrows
-        return Path.of(joined) if joined == self._walk(joined[0], len(joined)) else None
+        first, n, length = p.arrows[0], len(p.arrows), len(p.arrows) + len(q.arrows)
+        walk, periodic = self._walks.get(first) or self._full_walk(first)
+        if not periodic and length > len(walk) or walk[n % len(walk)] != q.arrows[0]:
+            return None
+        return self._paths.get((first, length)) or self.walk_path(first, length)
+
+    def walk_path(self, arrow_name, length):
+        """The basis path of the first `length` arrows of the walk from
+        `arrow_name`, built on first use and shared after."""
+        key = (arrow_name, length)
+        if key not in self._paths:
+            self._paths[key] = Path.of(self._walk(arrow_name, length))
+        return self._paths[key]
 
     # -- structural maps (require the string overlap conditions) ---------------
 
@@ -222,9 +243,7 @@ class PathAlgebra:
         """The first max_len arrows of the walk from `arrow_name`, as a tuple:
         the longest basis path starting there, or its surviving cycle read
         from the arrow and repeated."""
-        if arrow_name not in self._walks:
-            self._walks[arrow_name] = self._full_walk(arrow_name)
-        walk, periodic = self._walks[arrow_name]
+        walk, periodic = self._walks.get(arrow_name) or self._full_walk(arrow_name)
         if periodic and len(walk) < max_len:
             walk *= -(-max_len // len(walk))
         return walk[:max_len]
@@ -233,17 +252,18 @@ class PathAlgebra:
         """(its surviving cycle read from the arrow, True), or (the longest
         basis path from it, False): the unique continuations until the ideal
         is met, within the longest relation past one round of a cycle that
-        does not survive, and within the number of arrows otherwise."""
+        does not survive, and within the number of arrows otherwise; kept in
+        the walk table."""
         for cyc in self.infinite_cycles():
             if arrow_name in cyc:
                 i = cyc.index(arrow_name)
-                return cyc[i:] + cyc[:i], True
+                return self._walks.setdefault(arrow_name, (cyc[i:] + cyc[:i], True))
         walk = [arrow_name]
         while (nxt := unique_continuation(self.quiver, self.relations, walk[-1])) is not None:
             if self.relations.contains(Path.of(walk + [nxt])):
                 break
             walk.append(nxt)
-        return tuple(walk), False
+        return self._walks.setdefault(arrow_name, (tuple(walk), False))
 
     def radical_paths(self, max_len=None):
         """All nonstationary basis paths avoiding every infinite maximal path,
@@ -259,7 +279,7 @@ class PathAlgebra:
                 if len(run) > max_len:
                     raise BoundExceededError(
                         f"basis path from arrow {a} exceeds length bound {max_len}")
-                paths.extend(Path.of(run[:k]) for k in range(1, len(run) + 1))
+                paths.extend(self.walk_path(a, k) for k in range(1, len(run) + 1))
             self._cache[key] = tuple(sorted(paths))
         return self._cache[key]
 
@@ -271,10 +291,10 @@ class PathAlgebra:
 
     def enumerate_basis(self, max_len):
         """Basis paths of length <= max_len in (length, lexicographic) order."""
-        out = [Path.stationary(v) for v in sorted(self.quiver.vertices)]
+        out = [self._paths[v] for v in sorted(self.quiver.vertices)]
         for a in sorted(self.quiver.arrow_by_name):
             run = self._walk(a, max_len)
-            out.extend(Path.of(run[:k]) for k in range(1, len(run) + 1))
+            out.extend(self.walk_path(a, k) for k in range(1, len(run) + 1))
         return sorted(out)
 
     def is_finite_dimensional(self):
@@ -292,8 +312,8 @@ class PathAlgebra:
 
     def generators(self):
         """Stationary paths then arrows, in sorted order."""
-        out = [Path.stationary(v) for v in sorted(self.quiver.vertices)]
-        out.extend(Path.of((a,)) for a in sorted(self.quiver.arrow_by_name))
+        out = [self._paths[v] for v in sorted(self.quiver.vertices)]
+        out.extend(self.walk_path(a, 1) for a in sorted(self.quiver.arrow_by_name))
         return out
 
     def parse_element(self, text):

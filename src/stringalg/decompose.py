@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._linalg import solve_affine
+from .algebra import Element
 from .errors import (CapExceededError, CertificationError, DecompositionError,
                      ShapeError)
 from .maximal import (component_of_path, is_left_maximal, is_right_maximal,
@@ -162,11 +163,12 @@ def _block_unit(f, index, degree_cap):
     if n == 1 and any(image != algebra.path_element(g) for g, image in images.items()):
         # a free loop: the block k[x] is commutative, so conjugation fixes it
         raise DecompositionError(f"block {index} is a polynomial ring but is moved")
-    memo = {}
+    memo, support = {}, []
     for degree in range(degree_cap + 1):
-        support = [p for p in algebra.enumerate_basis((degree + 1) * n)
-                   if component_of_path(algebra, p) == index
-                   and algebra.x_degree(p) <= degree]
+        # the prefix of length k of the walk from cycle[i] has x-degree (k + i) // n
+        support = sorted(support + [
+            algebra.walk_path(a, k) for i, a in enumerate(cycle)
+            for k in range(max(1, degree * n - i), (degree + 1) * n - i)])
         u = _solve_intertwiner(images, support, memo)
         if u is not None:
             break
@@ -191,18 +193,22 @@ def _solve_intertwiner(images, support, memo):
     MAX_INTERTWINER_SIZE.
     """
     algebra = next(iter(images.values())).algebra
+    concat = algebra.concat
     n = len(support)
     rows = {}    # per (generator, path): {unknown, or n for the right side: coefficient}
     for k, (g, target) in enumerate(images.items()):
-        base = algebra.path_element(g)
         products = memo.setdefault(g, {})
         # the constant part 1 * f(g) - g * 1 goes to the right
-        for p, c in (target - base).terms.items():
+        for p, c in (target - algebra.path_element(g)).terms.items():
             rows.setdefault((k, p), {})[n] = -c
         for i, w in enumerate(support):
             if w not in products:
-                we = algebra.path_element(w)
-                products[w] = (we * target - base * we).terms
+                # w * p differ for different p: paths cancel on the left
+                row = {concat(w, p): c for p, c in target.terms.items()}
+                gw = concat(g, w)
+                row[gw] = row.get(gw, 0) - 1
+                row.pop(None, None)
+                products[w] = Element._trusted(algebra, row).terms
             for p, c in products[w].items():
                 rows.setdefault((k, p), {})[i] = c
     size = len(rows) * n

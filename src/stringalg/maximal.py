@@ -64,15 +64,15 @@ def repeat_free_path(algebra, arrow_name):
 
 
 def is_left_maximal(algebra, path):
-    """No arrow extends the path on the left outside the ideal."""
+    """No arrow extends the basis path on the left outside the ideal."""
     src = algebra.quiver.path_source(path)
-    return all(algebra.in_ideal(Path.of((a.name,) + path.arrows))
+    return all(algebra.concat(algebra.walk_path(a.name, 1), path) is None
                for a in algebra.quiver.arrows_into[src])
 
 
 def is_right_maximal(algebra, path):
     tgt = algebra.quiver.path_target(path)
-    return all(algebra.in_ideal(Path.of(path.arrows + (a.name,)))
+    return all(algebra.concat(path, algebra.walk_path(a.name, 1)) is None
                for a in algebra.quiver.arrows_from[tgt])
 
 

@@ -86,10 +86,11 @@ class Endomorphism:
         if self.unit is not None:
             return self.unit.inverse * x * self.unit.value
         memo = {} if memo is None else memo
-        out = self.algebra.zero()
+        terms = {}
         for p, c in x.terms.items():
-            out = out + self.image_of_path(p, memo).scale(c)
-        return out
+            for r, d in self.image_of_path(p, memo).terms.items():
+                terms[r] = terms[r] + c * d if r in terms else c * d
+        return Element._trusted(self.algebra, terms)
 
     def compose(self, other):
         """self after other: (self.compose(other))(x) = self(other(x))."""

@@ -128,10 +128,10 @@ class Quiver:
         return self.arrow_by_name[arrow_name].target
 
     def path_source(self, p):
-        return p.vertex if p.is_stationary else self.source(p.arrows[0])
+        return self.arrow_by_name[p.arrows[0]].source if p.arrows else p.vertex
 
     def path_target(self, p):
-        return p.vertex if p.is_stationary else self.target(p.arrows[-1])
+        return self.arrow_by_name[p.arrows[-1]].target if p.arrows else p.vertex
 
     def is_composable(self, arrows):
         """True when consecutive arrows match target-to-source."""

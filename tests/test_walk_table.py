@@ -2,13 +2,16 @@
 
 Products, ideal membership and the basis are read off the unique walk from
 each arrow; RelationSet.contains (every generator over every subpath) stays
-the reference they are checked against here.
+the reference they are checked against here.  `concat` hands out one shared
+(interned) path per basis path, and element products only offer it the
+pairs of terms whose ends meet.
 """
 
 import hashlib
 import random
+from fractions import Fraction
 
-from stringalg import Path, PathAlgebra
+from stringalg import Element, Path, PathAlgebra
 from stringalg.cli import run
 
 from conftest import SOURCES, make_algebra
@@ -57,6 +60,72 @@ def test_walk_table_matches_relation_scan():
             for q in basis:
                 assert algebra.concat(p, q) == _reference_concat(algebra, p, q), \
                     (name, str(p), str(q))
+
+
+def test_concat_results_are_interned():
+    for name, algebra in _algebras():
+        basis = algebra.enumerate_basis(6)
+        seen = {}
+        for p in basis:
+            for q in basis:
+                r = algebra.concat(p, q)
+                if r is None:
+                    continue
+                joined = p.arrows + q.arrows
+                expected = Path.of(joined) if joined else p
+                assert r == expected and hash(r) == hash(expected), (name, str(p), str(q))
+                assert seen.setdefault(r, r) is r, (name, str(r))
+        assert all(algebra.walk_path(p.first_arrow, p.length) is p
+                   for p in basis if p.arrows), name
+
+
+def _random_element(rng, algebra, basis):
+    terms = {p: rng.choice([1, -2, 3, Fraction(1, 2), Fraction(-5, 3)])
+             for p in rng.sample(basis, min(len(basis), rng.randint(0, 8)))}
+    return Element(algebra, terms)
+
+
+def _reference_product(x, y):
+    terms = {}
+    for p, c in x.terms.items():
+        for q, d in y.terms.items():
+            r = _reference_concat(x.algebra, p, q)
+            if r is not None:
+                terms[r] = terms.get(r, 0) + c * d
+    return Element(x.algebra, terms)
+
+
+def test_products_match_the_all_pairs_reference():
+    rng = random.Random(17)
+    for name, algebra in _algebras():
+        basis = algebra.enumerate_basis(6)
+        for _ in range(15):
+            x = _random_element(rng, algebra, basis)
+            y = _random_element(rng, algebra, basis)
+            assert x * y == _reference_product(x, y), (name, str(x), str(y))
+
+
+def test_products_offer_concat_only_composable_pairs(monkeypatch):
+    calls = []
+    concat = PathAlgebra.concat
+
+    def counted(algebra, p, q):
+        calls.append(algebra.quiver.path_target(p) == algebra.quiver.path_source(q))
+        return concat(algebra, p, q)
+
+    monkeypatch.setattr(PathAlgebra, "concat", counted)
+    rng = random.Random(23)
+    for name, algebra in _algebras():
+        basis = algebra.enumerate_basis(6)
+        quiver = algebra.quiver
+        for _ in range(10):
+            x = _random_element(rng, algebra, basis)
+            y = _random_element(rng, algebra, basis)
+            calls.clear()
+            x * y
+            assert all(calls), name
+            assert len(calls) == sum(quiver.path_target(p) == quiver.path_source(q)
+                                     for p in x.terms for q in y.terms), name
 
 
 # SHA-256 of the stdout of `basis --max-len 8`, `--json maximal` and
