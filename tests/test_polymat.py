@@ -33,6 +33,75 @@ def test_poly_arithmetic():
     assert parse_poly("0").degree == -1
 
 
+def _ref_trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _ref_mul(a, b):
+    """Schoolbook product of Fraction coefficient lists."""
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b):
+    """Long division of Fraction coefficient lists, b nonzero."""
+    rem = list(a)
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - len(b), -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        quo[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] -= c * y
+    return _ref_trim(quo), _ref_trim(rem[:len(b) - 1])
+
+
+def _random_poly(rng, length, bits):
+    """A rational Poly of the given length with numerators of up to `bits`
+    bits over small denominators (a zero coefficient now and then)."""
+    coeffs = [Fraction(rng.randint(-2 ** bits, 2 ** bits) * rng.randint(0, 3),
+                       rng.choice([1, 1, 2, 3, 7, 12]))
+              for _ in range(length - 1)]
+    top = 0
+    while not top:
+        top = rng.randint(-2 ** bits, 2 ** bits)
+    return _ref_trim(coeffs + [Fraction(top, rng.choice([1, 5]))])
+
+
+def test_poly_products_and_division_match_the_schoolbook_reference():
+    """Products and divmod of rational Polys against Fraction lists.  The
+    sizes lie on both sides of la * lb = 32 with integer numerators of 96
+    bits together, where products once switched to Kronecker substitution."""
+    rng = random.Random(31)
+    sizes = [(1, 1, 4), (3, 4, 8), (5, 6, 20), (2, 15, 40),
+             (6, 6, 60), (8, 11, 70), (12, 5, 200), (20, 20, 120)]
+    sides = set()
+    for la, lb, bits in sizes:
+        for _ in range(6):
+            a, b = _random_poly(rng, la, bits), _random_poly(rng, lb, bits)
+            p, q = Poly(a), Poly(b)
+            assert p.coeffs == tuple(a) and q.coeffs == tuple(b)
+            sides.add(len(p.nums) * len(q.nums) >= 32 and max(map(abs, p.nums)).bit_length()
+                      + max(map(abs, q.nums)).bit_length() >= 96)
+            ab = _ref_mul(a, b)
+            assert (p * q).coeffs == tuple(ab), (la, lb, bits)
+            for x, y, xs, ys in ((p, q, a, b), (q, p, b, a), (p * q, q, ab, b)):
+                quo, rem = divmod(x, y)
+                ref_quo, ref_rem = _ref_divmod(xs, ys)
+                assert quo.coeffs == tuple(ref_quo) and rem.coeffs == tuple(ref_rem)
+                assert x == y * quo + rem
+                assert rem.degree < y.degree
+            assert (p * q).exact_div(q) == p
+    assert sides == {False, True}
+
+
 def test_poly_parse_variants():
     assert parse_poly("6x^3") == Poly.x(3, 6)
     assert parse_poly("-x + 1") == Poly((1, -1))

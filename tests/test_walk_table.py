@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from stringalg import Element, Path, PathAlgebra
 from stringalg.cli import run
+from stringalg.maximal import component_of_path
 
 from conftest import SOURCES, make_algebra
 from test_random_presentations import random_presentation
@@ -126,6 +127,20 @@ def test_products_offer_concat_only_composable_pairs(monkeypatch):
             assert all(calls), name
             assert len(calls) == sum(quiver.path_target(p) == quiver.path_source(q)
                                      for p in x.terms for q in y.terms), name
+
+
+def test_cycle_positions_match_the_counting_reference():
+    """x_degree counts the passes through each surviving cycle's closing
+    arrow, and component_of_path is the cycle holding the first arrow."""
+    for name, algebra in _algebras():
+        cycles = algebra.infinite_cycles()
+        for p in algebra.enumerate_basis(8):
+            degree = sum(p.arrows.count(cyc[-1]) for cyc in cycles)
+            index = next((i for i, cyc in enumerate(cycles)
+                          if p.arrows and p.first_arrow in cyc), None)
+            assert algebra.x_degree(p) == degree, (name, str(p))
+            assert component_of_path(algebra, p) == index, (name, str(p))
+        assert algebra.cycle_arrows() == {a for cyc in cycles for a in cyc}, name
 
 
 # SHA-256 of the stdout of `basis --max-len 8`, `--json maximal` and
