@@ -28,6 +28,10 @@ from .quiver import (Path, _format_sum, _parse_coeff, _signed_terms, surviving_c
                      unique_continuation)
 
 
+# default bound on the length of a finite basis path (the CLI's --max-len)
+MAX_PATH_LENGTH = 64
+
+
 def _canonical(c):
     """The coefficient c as an int when it is integral, else as a Fraction."""
     c = c if isinstance(c, (int, Fraction)) else Fraction(c)
@@ -139,7 +143,7 @@ class Element:
 class PathAlgebra:
     """Arithmetic context for a valid (locally) string presentation."""
 
-    def __init__(self, presentation, max_path_length=64):
+    def __init__(self, presentation, max_path_length=MAX_PATH_LENGTH):
         presentation.require_valid()
         self.presentation = presentation
         self.quiver = presentation.quiver
@@ -221,16 +225,25 @@ class PathAlgebra:
             self._cache["cycles"] = surviving_cycles(self.quiver, self.relations)
         return self._cache["cycles"]
 
+    def cycle_positions(self):
+        """{arrow on a surviving cycle: (cycle index, position on the cycle)}."""
+        if "cycle_positions" not in self._cache:
+            self._cache["cycle_positions"] = {
+                a: (i, k) for i, cyc in enumerate(self.infinite_cycles())
+                for k, a in enumerate(cyc)}
+        return self._cache["cycle_positions"]
+
     def x_degree(self, path):
         """How many times a basis path passes the closing arrow of a
         surviving cycle.  Additive under nonzero products: a path with a
-        cycle arrow stays on that cycle, whose powers it counts."""
-        return sum(path.arrows.count(cyc[-1]) for cyc in self.infinite_cycles())
+        cycle arrow stays on that cycle, so the path of length k from
+        position i of a cycle of n arrows passes it (k + i) // n times."""
+        at = self.cycle_positions().get(path.first_arrow)
+        return 0 if at is None else (path.length + at[1]) // len(self.infinite_cycles()[at[0]])
 
     def cycle_arrows(self):
         if "cycle_arrows" not in self._cache:
-            self._cache["cycle_arrows"] = frozenset(
-                a for cyc in self.infinite_cycles() for a in cyc)
+            self._cache["cycle_arrows"] = frozenset(self.cycle_positions())
         return self._cache["cycle_arrows"]
 
     def radical_arrows(self):
@@ -254,10 +267,9 @@ class PathAlgebra:
         is met, within the longest relation past one round of a cycle that
         does not survive, and within the number of arrows otherwise; kept in
         the walk table."""
-        for cyc in self.infinite_cycles():
-            if arrow_name in cyc:
-                i = cyc.index(arrow_name)
-                return self._walks.setdefault(arrow_name, (cyc[i:] + cyc[:i], True))
+        if (at := self.cycle_positions().get(arrow_name)) is not None:
+            cyc, i = self.infinite_cycles()[at[0]], at[1]
+            return self._walks.setdefault(arrow_name, (cyc[i:] + cyc[:i], True))
         walk = [arrow_name]
         while (nxt := unique_continuation(self.quiver, self.relations, walk[-1])) is not None:
             if self.relations.contains(Path.of(walk + [nxt])):
@@ -265,23 +277,20 @@ class PathAlgebra:
             walk.append(nxt)
         return self._walks.setdefault(arrow_name, (tuple(walk), False))
 
-    def radical_paths(self, max_len=None):
+    def radical_paths(self):
         """All nonstationary basis paths avoiding every infinite maximal path,
         a basis of the Jacobson radical: the prefixes of the finite walks.
-        Raises BoundExceededError when one is longer than max_len (default
-        max_path_length)."""
-        max_len = max_len if max_len is not None else self.max_path_length
-        key = ("radical_paths", max_len)
-        if key not in self._cache:
-            paths = []
+        Raises BoundExceededError when one is longer than max_path_length."""
+        if "radical_paths" not in self._cache:
+            bound, paths = self.max_path_length, []
             for a in self.radical_arrows():
-                run = self._walk(a, max_len + 1)
-                if len(run) > max_len:
+                run = self._walk(a, bound + 1)
+                if len(run) > bound:
                     raise BoundExceededError(
-                        f"basis path from arrow {a} exceeds length bound {max_len}")
+                        f"basis path from arrow {a} exceeds length bound {bound}")
                 paths.extend(self.walk_path(a, k) for k in range(1, len(run) + 1))
-            self._cache[key] = tuple(sorted(paths))
-        return self._cache[key]
+            self._cache["radical_paths"] = tuple(sorted(paths))
+        return self._cache["radical_paths"]
 
     def radical_degree_bound(self):
         """Largest length of a radical basis path (0 when none exist)."""

@@ -10,8 +10,8 @@ import argparse
 import json
 import sys
 
-from .algebra import PathAlgebra, format_element
-from .decompose import decompose_general, outer_class
+from .algebra import MAX_PATH_LENGTH, PathAlgebra, format_element
+from .decompose import DEGREE_CAP, decompose_general, outer_class
 from .errors import (BoundExceededError, CapExceededError, CertificationError,
                      DecompositionError, DerivationError, NotAUnitError,
                      StringAlgError)
@@ -51,9 +51,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser():
     parser = _Parser(prog="stringalg", description=__doc__)
-    parser.add_argument("--max-len", type=_positive, default=64,
+    parser.add_argument("--max-len", type=_positive, default=MAX_PATH_LENGTH,
                         help="path-length guard for basis and maximal-path searches")
-    parser.add_argument("--cap-degree", type=_positive, default=32,
+    parser.add_argument("--cap-degree", type=_positive, default=DEGREE_CAP,
                         help="degree cap for the conjugation solver")
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON mirror of the text report")
@@ -130,7 +130,7 @@ def _cmd_basis(args):
 
 def _cmd_maximal(args):
     algebra = _algebra(args)
-    report = classify_maximal(algebra, args.max_len)
+    report = classify_maximal(algebra)
     lines = ["finite maximal:"]
     lines += [f"  {p}" for p in report.finite_maximal]
     lines.append("infinite maximal:")

@@ -41,6 +41,8 @@ GRADED = "graded"
 
 # largest intertwiner system, in rows x unknowns, built before giving up
 MAX_INTERTWINER_SIZE = 10_000_000
+# default largest x-degree of a block's conjugating unit (the CLI's --cap-degree)
+DEGREE_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ def peel_maximal(f):
 # -- stage 2: conjugation solve on an infinite-maximal-path block ----------------
 
 
-def solve_conjugation_unique_max(f, degree_cap=32):
+def solve_conjugation_unique_max(f, degree_cap=DEGREE_CAP):
     """Conjugating unit for a graded-identity automorphism of a locally
     gentle algebra with a unique infinite maximal path: the algebra is one
     block, solved by `_block_unit`."""
@@ -377,7 +379,7 @@ def _tower_factors(d, rho, word, u_value):
             Factor(INNER, inner_automorphism(unit), unit=unit))
 
 
-def decompose_general(f, degree_cap=32):
+def decompose_general(f, degree_cap=DEGREE_CAP):
     """Full decomposition of a certified automorphism of any valid
     (locally) string presentation other than the one-loop free algebra.
 

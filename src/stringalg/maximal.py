@@ -76,23 +76,21 @@ def is_right_maximal(algebra, path):
                for a in algebra.quiver.arrows_from[tgt])
 
 
-def classify_maximal(algebra, max_len=None):
+def classify_maximal(algebra):
     """Classify maximal paths; finite ones are enumerated exactly.
 
     Raises BoundExceededError when a finite-maximal candidate is still
-    extendable at max_len, signalling the caller to raise the bound.
+    extendable at max_path_length, signalling the caller to raise it.
     """
-    max_len = max_len if max_len is not None else algebra.max_path_length
-    key = ("classify", max_len)
-    if key in algebra._cache:
-        return algebra._cache[key]
+    if "classify" in algebra._cache:
+        return algebra._cache["classify"]
     infinite = tuple(InfiniteMaximalPath(Path.of(c)) for c in algebra.infinite_cycles())
-    candidates = algebra.radical_paths(max_len)
+    candidates = algebra.radical_paths()
     left = tuple(p for p in candidates if is_left_maximal(algebra, p))
     right = tuple(p for p in candidates if is_right_maximal(algebra, p))
     finite = tuple(p for p in left if is_right_maximal(algebra, p))
     report = MaximalPathReport(left, right, finite, infinite)
-    algebra._cache[key] = report
+    algebra._cache["classify"] = report
     return report
 
 
@@ -124,13 +122,8 @@ def component_of_path(algebra, path):
     A nonstationary basis path lies in a cycle block exactly when its first
     arrow does, since blocks are closed under continuation.
     """
-    if path.is_stationary:
-        return None
-    first = path.first_arrow
-    for i, cyc in enumerate(algebra.infinite_cycles()):
-        if first in cyc:
-            return i
-    return None
+    at = algebra.cycle_positions().get(path.first_arrow)
+    return None if at is None else at[0]
 
 
 def cycle_sum(algebra, imp):
@@ -170,12 +163,12 @@ def _check_central(algebra, element, label):
             raise InvariantError("central element", f"{label} fails to commute with {g}")
 
 
-def parallel_maximal(algebra, arrow_name, max_len=None):
+def parallel_maximal(algebra, arrow_name):
     """The unique finite maximal path parallel to the arrow that neither
     starts nor ends with it, or None."""
     q = algebra.quiver
     src, tgt = q.source(arrow_name), q.target(arrow_name)
-    report = classify_maximal(algebra, max_len)
+    report = classify_maximal(algebra)
     found = [p for p in report.finite_maximal
              if q.path_source(p) == src and q.path_target(p) == tgt
              and p.first_arrow != arrow_name and p.last_arrow != arrow_name]

@@ -355,17 +355,17 @@ def default_nilpotency_cap(algebra):
     return max(longest + 1, 2)
 
 
-def exponentiate(d, cap=None):
+def exponentiate(d):
     """Exponential automorphism of a locally nilpotent derivation.
 
     Iterates the derivation on each generator until it vanishes, dividing by
-    factorials; raises CapExceededError when the iteration cap is hit (the
-    derivation is then not locally nilpotent, or the cap is too small).
+    factorials; raises CapExceededError past default_nilpotency_cap
+    iterations (the derivation is then not locally nilpotent).
     The returned endomorphism is certified and carries no inverse; the
     inverse is exponentiate(d.negated()).
     """
     algebra = d.algebra
-    cap = cap if cap is not None else default_nilpotency_cap(algebra)
+    cap = default_nilpotency_cap(algebra)
     arrow_images = {}
     for a in algebra.quiver.arrow_by_name:
         total = algebra.arrow(a)
@@ -409,10 +409,11 @@ class Unit:
         return out
 
 
-def geometric_inverse(y, bound=None):
-    """Inverse of 1 + y for nilpotent y, by the terminating geometric series."""
+def geometric_inverse(y):
+    """Inverse of 1 + y for nilpotent y, by the terminating geometric series;
+    NotAUnitError when it runs past max_path_length + 1 terms."""
     algebra = y.algebra
-    bound = bound if bound is not None else algebra.max_path_length + 1
+    bound = algebra.max_path_length + 1
     total = algebra.one()
     power = -y
     k = 0

@@ -27,10 +27,11 @@ class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
     Stored as an integer coefficient vector over one shared positive
-    denominator, normalized so their collective content is 1; this keeps
-    exact arithmetic to integer work plus one gcd pass per operation.
-    Canonical form: no trailing zero coefficients; the zero polynomial has
-    an empty vector and degree -1 (the distinguished marker).
+    denominator, normalized so their collective content is 1.  Sums and
+    products are integer work plus one gcd pass; division is plain long
+    division over the rational coefficients.  Canonical form: no trailing
+    zero coefficients; the zero polynomial has an empty vector and degree
+    -1 (the distinguished marker).
     """
 
     __slots__ = ("den", "nums")
@@ -104,49 +105,14 @@ class Poly:
     def __divmod__(self, other):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if len(self.nums) < len(other.nums):
-            return Poly(), self
-        # long division with remainder and quotient kept over single
-        # denominators; the remainder content is stripped only once its
-        # denominator has doubled, keeping gcd work amortized while still
-        # avoiding per-coefficient rational normalization
-        b_nums = other.nums
-        lead = b_nums[-1]
-        nb = len(b_nums)
-        r_den = self.den
-        r_nums = list(self.nums)
-        strip_at = max(2 * r_den.bit_length(), 64)
-        q_pairs = [None] * (len(r_nums) - nb + 1)
-        for i in range(len(r_nums) - nb, -1, -1):
-            head = r_nums[i + nb - 1]
-            if not head:
-                continue
-            num, den = head * other.den, r_den * lead
-            g = _gcd(num, den)
-            q_pairs[i] = (num // g, den // g)
-            # R <- (R * lead - head * x^i * B) / (r_den * lead)
-            r_nums = [v * lead for v in r_nums]
-            for j in range(nb):
-                r_nums[i + j] -= head * b_nums[j]
-            r_den *= lead
-            if r_den.bit_length() > strip_at:
-                g = r_den
-                for v in r_nums[:i + nb - 1]:
-                    if v:
-                        g = _gcd(g, v)
-                        if g == 1:
-                            break
-                if g > 1:
-                    r_den //= g
-                    r_nums = [v // g for v in r_nums]
-                strip_at = max(2 * r_den.bit_length(), 64)
-        q_den = _int(1)
-        for pair in q_pairs:
-            if pair is not None:
-                q_den = q_den * pair[1] // _gcd(q_den, pair[1])
-        q_nums = [pair[0] * (q_den // pair[1]) if pair is not None else _int(0)
-                  for pair in q_pairs]
-        return Poly._raw(q_den, q_nums), Poly._raw(r_den, r_nums[:nb - 1])
+        rem, b = list(self.coeffs), other.coeffs
+        quo = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+        for i in range(len(quo) - 1, -1, -1):
+            c = quo[i] = rem[i + len(b) - 1] / b[-1]
+            if c:
+                for j, y in enumerate(b):
+                    rem[i + j] -= c * y
+        return Poly(quo), Poly(rem[:len(b) - 1])
 
     def exact_div(self, other):
         q, r = divmod(self, other)
@@ -183,51 +149,14 @@ class Poly:
         return format_poly(self)
 
 
-def _fma(a, q, b):
-    """a + q*b with one normalization instead of two."""
-    if q.is_zero or b.is_zero:
-        return a
-    prod_nums = _convolve(q.nums, b.nums)
-    prod_den = q.den * b.den
-    if a.is_zero:
-        return Poly._raw(prod_den, prod_nums)
-    g = _gcd(a.den, prod_den)
-    scale_a = prod_den // g
-    scale_p = a.den // g
-    n = max(len(a.nums), len(prod_nums))
-    av = list(a.nums) + [0] * (n - len(a.nums))
-    pv = list(prod_nums) + [0] * (n - len(prod_nums))
-    return Poly._raw(a.den * scale_a,
-                     [x * scale_a + y * scale_p for x, y in zip(av, pv)])
-
-
 def _convolve(a, b):
-    """Integer convolution; balanced Kronecker substitution for large inputs
-    turns the whole product into one bigint multiplication."""
-    la, lb = len(a), len(b)
-    ma = max(map(abs, a))
-    mb = max(map(abs, b))
-    if la * lb < 32 or ma.bit_length() + mb.bit_length() < 96:
-        out = [0] * (la + lb - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return out
-    k = ma.bit_length() + mb.bit_length() + min(la, lb).bit_length() + 2
-    packed_a = sum(v << (k * i) for i, v in enumerate(a))
-    packed_b = sum(v << (k * i) for i, v in enumerate(b))
-    value = packed_a * packed_b
-    mask = (1 << k) - 1
-    half = 1 << (k - 1)
-    out = []
-    for _ in range(la + lb - 1):
-        digit = value & mask
-        if digit >= half:
-            digit -= 1 << k
-        out.append(digit)
-        value = (value - digit) >> k
+    """Integer convolution of two coefficient vectors (schoolbook)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
     return out
 
 
@@ -471,12 +400,12 @@ def smith_elimination_step(m, i0, j0):
     for k in range(n):
         q = u_rows[k][i0]
         if k != i0 and not q.is_zero:
-            work[k] = [_fma(a, q, b) for a, b in zip(work[k], work[i0])]
+            work[k] = [a + q * b for a, b in zip(work[k], work[i0])]
     for l in range(n):
         q = v_rows[j0][l]
         if l != j0 and not q.is_zero:
             for r in range(n):
-                work[r][l] = _fma(work[r][l], q, work[r][j0])
+                work[r][l] = work[r][l] + q * work[r][j0]
     return u0, PolyMatrix(work), v0
 
 

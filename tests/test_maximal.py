@@ -74,9 +74,9 @@ def test_every_arrow_in_some_maximal_path():
 
 
 def test_classify_maximal_bound_error():
-    algebra = make_algebra(SOURCES["two_cycle_rel"])
+    algebra = make_algebra(SOURCES["two_cycle_rel"], max_path_length=2)
     with pytest.raises(BoundExceededError):
-        classify_maximal(algebra, max_len=2)
+        classify_maximal(algebra)
 
 
 def test_partition_examples(ex_string, poly_ring, cycle_pendant):
