@@ -172,3 +172,140 @@ def test_structure_reports_are_pinned(tmp_path, capsys):
             h.update(capsys.readouterr().out.encode("utf-8"))
         digests[name] = h.hexdigest()
     assert digests == STRUCTURE_DIGESTS
+
+
+# cycles that only a relation longer than the probes above (8 arrows) kills:
+# a loop, a three-cycle whose relation starts at its first arrow and one
+# whose relation starts mid-cycle, a four-cycle with a pendant arrow, and a
+# killed loop beside a surviving one
+LONG_RELATION_SOURCES = {
+    "loop_x9": "vertex v\narrow x : v -> v\nrelation " + " ".join(["x"] * 9),
+    "three_cycle_10": """
+vertex 1
+vertex 2
+vertex 3
+arrow a : 1 -> 2
+arrow b : 2 -> 3
+arrow c : 3 -> 1
+relation a b c a b c a b c a
+""",
+    "three_cycle_mid_9": """
+vertex 1
+vertex 2
+vertex 3
+arrow a : 1 -> 2
+arrow b : 2 -> 3
+arrow c : 3 -> 1
+relation b c a b c a b c a
+""",
+    "four_cycle_pendant_9": """
+vertex 1
+vertex 2
+vertex 3
+vertex 4
+vertex 5
+arrow p : 1 -> 2
+arrow q : 2 -> 3
+arrow r : 3 -> 4
+arrow s : 4 -> 1
+arrow t : 4 -> 5
+relation r t
+relation q r s p q r s p q
+""",
+    "killed_loop_beside_free_loop": """
+vertex 1
+vertex 2
+arrow x : 1 -> 1
+arrow y : 1 -> 2
+arrow z : 2 -> 2
+relation x y
+relation y z
+relation z z z z z z z z z z
+""",
+}
+
+
+def _reference_cycles(presentation):
+    """Canonical rotations (least arrow first) of the cycles with distinct
+    arrows that no power meets the ideal, by RelationSet.contains on a power
+    longer than the cycle plus the longest relation."""
+    quiver, relations = presentation.quiver, presentation.relations
+    out = []
+
+    def extend(cycle):
+        last = quiver.target(cycle[-1])
+        if last == quiver.source(cycle[0]):
+            power = Path.of(cycle * (relations.max_length + 2))
+            if not relations.contains(power):
+                out.append(cycle)
+        for b in quiver.arrows_from[last]:
+            if b.name > cycle[0] and b.name not in cycle:
+                extend(cycle + (b.name,))
+
+    for a in sorted(quiver.arrow_by_name):
+        extend((a,))
+    return tuple(sorted(out))
+
+
+def _reference_walk(presentation, arrow, bound):
+    """From the arrow, the one continuation RelationSet.contains leaves,
+    arrow by arrow, up to `bound` arrows."""
+    quiver, relations = presentation.quiver, presentation.relations
+    walk = (arrow,)
+    while len(walk) < bound:
+        nexts = [b.name for b in quiver.arrows_from[quiver.target(walk[-1])]
+                 if not relations.contains(Path.of(walk + (b.name,)))]
+        assert len(nexts) <= 1, (arrow, walk, nexts)
+        if not nexts:
+            break
+        walk += (nexts[0],)
+    return walk
+
+
+def _reference_algebras():
+    out = [(name, make_algebra(source)) for name, source in SOURCES.items()]
+    out += [(name, make_algebra(source)) for name, source in LONG_RELATION_SOURCES.items()]
+    rng = random.Random(307)
+    out += [(f"random {k}", PathAlgebra(random_presentation(rng))) for k in range(20)]
+    return out
+
+
+def test_walks_and_cycles_match_the_brute_force_reference():
+    """Each arrow's walk, the surviving cycles and the finite/infinite half
+    of the classification, against scans of RelationSet.contains alone.  A
+    walk longer than every arrow plus the longest relation goes on forever,
+    round a surviving cycle."""
+    for name, algebra in _reference_algebras():
+        presentation = algebra.presentation
+        cycles = _reference_cycles(presentation)
+        assert algebra.infinite_cycles() == cycles, name
+        expected = ("" if not cycles else "locally-") + \
+            ("gentle" if presentation.is_gentle else "string")
+        assert presentation.classification == expected, name
+        bound = len(algebra.quiver.arrows) + algebra.relations.max_length + 1
+        on_cycle = {a: cyc for cyc in cycles for a in cyc}
+        for a in sorted(algebra.quiver.arrow_by_name):
+            walk = _reference_walk(presentation, a, bound)
+            assert algebra.walk_path(a, len(walk)).arrows == walk, (name, a)
+            if len(walk) == bound:
+                cyc = on_cycle[a]
+                i = cyc.index(a)
+                assert walk == ((cyc[i:] + cyc[:i]) * bound)[:bound], (name, a)
+                continue
+            assert a not in on_cycle, (name, a)
+            quiver = algebra.quiver
+            for b in quiver.arrows_from[quiver.target(walk[-1])]:
+                assert algebra.in_ideal(Path.of(walk + (b.name,))), (name, a, b.name)
+
+
+def test_long_relation_walks_are_pinned():
+    walks = {name: {a: make_algebra(source).walk_path(a, 20).arrows
+                    for a in ("x", "a", "b", "q", "z") if a in source.split()}
+             for name, source in LONG_RELATION_SOURCES.items()}
+    assert walks["loop_x9"] == {"x": ("x",) * 8}
+    assert walks["three_cycle_10"]["a"] == ("a", "b", "c") * 3
+    assert walks["three_cycle_10"]["b"] == (("b", "c", "a") * 4)[:11]
+    assert walks["three_cycle_mid_9"]["a"] == ("a", "b", "c") * 3
+    assert walks["three_cycle_mid_9"]["b"] == (("b", "c", "a") * 3)[:8]
+    assert walks["four_cycle_pendant_9"]["q"] == (("q", "r", "s", "p") * 2)[:8]
+    assert walks["killed_loop_beside_free_loop"] == {"x": ("x",) * 20, "z": ("z",) * 9}
