@@ -6,10 +6,12 @@ an int when it is integral and a Fraction otherwise, so products of integral
 elements build no Fraction.  In a (locally) string algebra each arrow has at
 most one surviving continuation, so the basis paths starting with an arrow
 are the prefixes of one walk from it, finite or going round a surviving
-cycle forever.  A path is zero exactly when it is not such a prefix, and a
-product of basis paths is a basis path exactly when the joined arrows are;
-both are read off a table of those walks, and each basis path is built once
-per algebra and shared.
+cycle forever.  `quiver.walk_table` builds those walks once, when the
+presentation is validated, and the algebra reads the presentation's table:
+a path is zero exactly when it is not a prefix of the walk from its first
+arrow, a product of basis paths is a basis path exactly when the joined
+arrows are, and the surviving cycles are the periodic walks.  Each basis
+path is built once per algebra and shared.
 
 `Element(algebra, terms)` validates its terms.  Ring operations do not
 validate their results again: their terms are basis paths, as `concat`
@@ -24,8 +26,7 @@ import re
 from fractions import Fraction
 
 from .errors import BoundExceededError, ElementFormatError
-from .quiver import (Path, _format_sum, _parse_coeff, _signed_terms, surviving_cycles,
-                     unique_continuation)
+from .quiver import Path, _format_sum, _parse_coeff, _signed_terms
 
 
 # default bound on the length of a finite basis path (the CLI's --max-len)
@@ -150,7 +151,7 @@ class PathAlgebra:
         self.relations = presentation.relations
         self.max_path_length = max_path_length
         self._cache = {}
-        self._walks = {}
+        self._walks = presentation.walks
         # interned basis paths, by vertex or by (first arrow, length)
         self._paths = {v: Path.stationary(v) for v in self.quiver.vertices}
 
@@ -204,7 +205,7 @@ class PathAlgebra:
         if not q.arrows:
             return p if self.quiver.path_target(p) == q.vertex else None
         first, n, length = p.arrows[0], len(p.arrows), len(p.arrows) + len(q.arrows)
-        walk, periodic = self._walks.get(first) or self._full_walk(first)
+        walk, periodic = self._walks[first]
         if not periodic and length > len(walk) or walk[n % len(walk)] != q.arrows[0]:
             return None
         return self._paths.get((first, length)) or self.walk_path(first, length)
@@ -220,9 +221,12 @@ class PathAlgebra:
     # -- structural maps (require the string overlap conditions) ---------------
 
     def infinite_cycles(self):
-        """Canonical rotations of the cycles generating infinite maximal paths."""
+        """The cycles generating infinite maximal paths, sorted, each in its
+        canonical rotation: the periodic walk read from its least arrow."""
         if "cycles" not in self._cache:
-            self._cache["cycles"] = surviving_cycles(self.quiver, self.relations)
+            self._cache["cycles"] = tuple(sorted(
+                walk for a, (walk, periodic) in self._walks.items()
+                if periodic and a == min(walk)))
         return self._cache["cycles"]
 
     def cycle_positions(self):
@@ -256,26 +260,10 @@ class PathAlgebra:
         """The first max_len arrows of the walk from `arrow_name`, as a tuple:
         the longest basis path starting there, or its surviving cycle read
         from the arrow and repeated."""
-        walk, periodic = self._walks.get(arrow_name) or self._full_walk(arrow_name)
+        walk, periodic = self._walks[arrow_name]
         if periodic and len(walk) < max_len:
             walk *= -(-max_len // len(walk))
         return walk[:max_len]
-
-    def _full_walk(self, arrow_name):
-        """(its surviving cycle read from the arrow, True), or (the longest
-        basis path from it, False): the unique continuations until the ideal
-        is met, within the longest relation past one round of a cycle that
-        does not survive, and within the number of arrows otherwise; kept in
-        the walk table."""
-        if (at := self.cycle_positions().get(arrow_name)) is not None:
-            cyc, i = self.infinite_cycles()[at[0]], at[1]
-            return self._walks.setdefault(arrow_name, (cyc[i:] + cyc[:i], True))
-        walk = [arrow_name]
-        while (nxt := unique_continuation(self.quiver, self.relations, walk[-1])) is not None:
-            if self.relations.contains(Path.of(walk + [nxt])):
-                break
-            walk.append(nxt)
-        return self._walks.setdefault(arrow_name, (tuple(walk), False))
 
     def radical_paths(self):
         """All nonstationary basis paths avoiding every infinite maximal path,

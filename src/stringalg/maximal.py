@@ -54,11 +54,12 @@ class ArrowPartition:
 def repeat_free_path(algebra, arrow_name):
     """The longest basis path starting at the arrow with no repeated arrow.
 
-    Unique because continuations are single valued: the walk from the arrow
-    cut at its first repeated arrow.  When the arrow sits on a returning
-    cycle the result is that cycle, read from the arrow.
+    Unique because continuations are single valued: the arrow's entry in the
+    presentation's walk table cut at its first repeated arrow.  When the
+    arrow sits on a surviving cycle the entry is that cycle, read from the
+    arrow.
     """
-    run = algebra._walk(arrow_name, len(algebra.quiver.arrows))
+    run, _ = algebra.presentation.walks[arrow_name]
     cut = next((k for k, a in enumerate(run) if a in run[:k]), len(run))
     return Path.of(run[:cut])
 
@@ -129,11 +130,7 @@ def component_of_path(algebra, path):
 def cycle_sum(algebra, imp):
     """Central element of an infinite maximal path: the sum of its
     generating cycles (one rotation per member arrow)."""
-    cyc = imp.cycle.arrows
-    element = algebra.element({
-        Path.of(cyc[i:] + cyc[:i]): 1 for i in range(len(cyc))})
-    _check_central(algebra, element, f"cycle sum of {imp}")
-    return element
+    return _central_rotation_sum(algebra, imp.cycle.arrows, f"cycle sum of {imp}")
 
 
 def rotation_sum(algebra, arrow_name):
@@ -149,18 +146,19 @@ def rotation_sum(algebra, arrow_name):
         return None
     if algebra.in_ideal(Path.of(run.arrows + (arrow_name,))):
         return None
-    cyc = run.arrows
+    return _central_rotation_sum(algebra, run.arrows, f"rotation sum of {arrow_name}")
+
+
+def _central_rotation_sum(algebra, cyc, label):
+    """The sum of the rotations of the cycle `cyc`, checked to commute with
+    every generator."""
     element = algebra.element({
         Path.of(cyc[i:] + cyc[:i]): 1 for i in range(len(cyc))})
-    _check_central(algebra, element, f"rotation sum of {arrow_name}")
-    return element
-
-
-def _check_central(algebra, element, label):
     for g in algebra.generators():
         ge = algebra.path_element(g)
         if ge * element != element * ge:
             raise InvariantError("central element", f"{label} fails to commute with {g}")
+    return element
 
 
 def parallel_maximal(algebra, arrow_name):

@@ -35,6 +35,16 @@ PARALLEL = "parallel"    # arrow -> scalar multiple of its parallel maximal path
 OTHER = "other"
 
 
+def _extend_linearly(algebra, x, image):
+    """The sum of c * image(p) over the terms c*p of x, collected in one
+    dict: the linear extension of a map given on basis paths."""
+    terms = {}
+    for p, c in x.terms.items():
+        for r, d in image(p).terms.items():
+            terms[r] = terms[r] + c * d if r in terms else c * d
+    return Element._trusted(algebra, terms)
+
+
 class Endomorphism:
     """Algebra endomorphism determined by generator images; `inverse` is the
     inverse map, set only on the identity and on graded maps by
@@ -86,11 +96,7 @@ class Endomorphism:
         if self.unit is not None:
             return self.unit.inverse * x * self.unit.value
         memo = {} if memo is None else memo
-        terms = {}
-        for p, c in x.terms.items():
-            for r, d in self.image_of_path(p, memo).terms.items():
-                terms[r] = terms[r] + c * d if r in terms else c * d
-        return Element._trusted(self.algebra, terms)
+        return _extend_linearly(self.algebra, x, lambda p: self.image_of_path(p, memo))
 
     def compose(self, other):
         """self after other: (self.compose(other))(x) = self(other(x))."""
@@ -266,10 +272,7 @@ class Derivation:
     def apply(self, x):
         if isinstance(x, Path):
             return self.apply_path(x)
-        out = self.algebra.zero()
-        for p, c in x.terms.items():
-            out = out + self.apply_path(p).scale(c)
-        return out
+        return _extend_linearly(self.algebra, x, self.apply_path)
 
     def negated(self):
         """-d, with the same target paths and type tags, not checked again:

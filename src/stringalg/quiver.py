@@ -4,6 +4,13 @@ A presentation is a finite quiver together with a finite list of relation
 paths of length >= 2 generating a monomial ideal.  Validation classifies the
 quotient algebra as string / locally-string / gentle / locally-gentle (or
 invalid), reporting a witness for every violated condition.
+
+Once the overlap conditions hold, each arrow has at most one surviving
+continuation, so the basis paths from an arrow are the prefixes of one walk.
+`walk_table` builds those walks, once per valid presentation: validation
+reads finite or infinite off it, `AlgebraPresentation` keeps it, and the
+path algebra reads its products, ideal membership, basis and surviving
+cycles from it.
 """
 
 from __future__ import annotations
@@ -134,11 +141,10 @@ class Quiver:
         return self.arrow_by_name[p.arrows[-1]].target if p.arrows else p.vertex
 
     def is_composable(self, arrows):
-        """True when consecutive arrows match target-to-source."""
-        for x, y in zip(arrows, arrows[1:]):
-            if self.target(x) != self.source(y):
-                return False
-        return all(a in self.arrow_by_name for a in arrows)
+        """True when every name is an arrow and consecutive arrows match
+        target-to-source."""
+        return (all(a in self.arrow_by_name for a in arrows)
+                and all(self.target(x) == self.source(y) for x, y in zip(arrows, arrows[1:])))
 
     def is_connected(self):
         """Connectivity of the underlying undirected graph over all vertices."""
@@ -195,17 +201,21 @@ class RelationSet:
 
 @dataclass(frozen=True)
 class AlgebraPresentation:
+    """A classified presentation; `walks` is its walk table, or None when
+    it is invalid."""
+
     quiver: Quiver
     relations: RelationSet
     classification: str
     violations: tuple
+    walks: Optional[dict] = field(compare=False, repr=False)
 
     @staticmethod
     def build(quiver, relations):
         if not isinstance(relations, RelationSet):
             relations = RelationSet(quiver, relations)
-        classification, violations = validate_presentation(quiver, relations)
-        return AlgebraPresentation(quiver, relations, classification, tuple(violations))
+        classification, violations, walks = validate_presentation(quiver, relations)
+        return AlgebraPresentation(quiver, relations, classification, tuple(violations), walks)
 
     @property
     def is_valid(self):
@@ -235,58 +245,44 @@ def _pair_in_ideal(relations, x, y):
     return relations.contains(Path.of((x, y)))
 
 
-def unique_continuation(quiver, relations, arrow_name):
-    """The single arrow b with arrow*b not in the ideal, or None.
+def walk_table(quiver, relations):
+    """{arrow name: (walk, periodic)} of a presentation satisfying the
+    overlap conditions, under which each arrow has at most one surviving
+    continuation and at most one surviving predecessor.
 
-    Well defined only when the overlap conditions hold; raises otherwise.
+    The successor of an arrow is the arrow after it that no length-2
+    relation kills.  The walk from an arrow follows successors until a
+    relation ends at the next arrow; a relation inside the walk would have
+    ended it earlier, so only suffixes are checked.  A walk that returns to
+    its arrow and meets no relation end within the longest relation after
+    that goes round forever: its entry is the cycle read from the arrow,
+    periodic.  Any other entry is the longest basis path from the arrow.
     """
-    outs = [b.name for b in quiver.arrows_from[quiver.target(arrow_name)]
-            if not _pair_in_ideal(relations, arrow_name, b.name)]
-    if len(outs) > 1:
-        raise InvalidPresentationError(
-            f"arrow {arrow_name} has two surviving continuations {outs}")
-    return outs[0] if outs else None
-
-
-def surviving_cycles(quiver, relations):
-    """Primitive cycles no power of which meets the ideal.
-
-    Each is returned in its canonical rotation (lexicographically least
-    arrow sequence), sorted.  Requires the overlap conditions, which force
-    the continuation map to be single valued, so the candidate cycles are
-    exactly the cycles of that partial function and are pairwise disjoint.
-    """
-    succ = {a.name: unique_continuation(quiver, relations, a.name) for a in quiver.arrows}
-    seen = set()
-    cycles = []
-    for start in sorted(succ):
-        if start in seen:
-            continue
-        walk, pos = [], {}
-        cur = start
-        while cur is not None and cur not in seen and cur not in pos:
-            pos[cur] = len(walk)
-            walk.append(cur)
-            cur = succ[cur]
-        if cur is not None and cur in pos:
-            cycles.append(tuple(walk[pos[cur]:]))
-        seen.update(walk)
-    out = []
-    for cyc in cycles:
-        # powers of the cycle can only meet generators inside a window of
-        # max generator length, so checking one wrap past that suffices
-        reps = (relations.max_length + len(cyc) - 1) // len(cyc) + 1 if relations.max_length else 1
-        if not relations.contains(Path.of(cyc * reps)):
-            out.append(canonical_rotation(cyc))
-    return tuple(sorted(out))
-
-
-def canonical_rotation(cycle):
-    return min(tuple(cycle[i:] + cycle[:i]) for i in range(len(cycle)))
+    heads = {}    # each relation less its last arrow, by that arrow
+    for g in relations:
+        heads.setdefault(g.arrows[-1], []).append(list(g.arrows[:-1]))
+    succ = {a.name: next((b.name for b in quiver.arrows_from[a.target]
+                          if [a.name] not in heads.get(b.name, ())), None)
+            for a in quiver.arrows}
+    table = {}
+    for a in quiver.arrow_by_name:
+        walk, period = [a], None
+        while (nxt := succ[walk[-1]]) is not None and not any(
+                walk[-len(h):] == h for h in heads.get(nxt, ())):
+            if nxt == a and period is None:
+                period = len(walk)
+            if period is not None and len(walk) >= period + relations.max_length:
+                table[a] = (tuple(walk[:period]), True)
+                break
+            walk.append(nxt)
+        else:
+            table[a] = (tuple(walk), False)
+    return table
 
 
 def validate_presentation(quiver, relations):
-    """Classify a presentation, reporting every violated condition.
+    """(classification, violations, walk table) of a presentation, reporting
+    every violated condition; the table is None when it is invalid.
 
     Never raises: structurally sound input always yields a classification,
     possibly "invalid" with the list of witnessed violations.
@@ -328,11 +324,12 @@ def validate_presentation(quiver, relations):
             gentle_violations.append(f"relation {g} has length {g.length} != 2")
     gentle_violations = [f"gentle: {v}" for v in gentle_violations]
     if violations:
-        return "invalid", violations + gentle_violations
-    finite = not surviving_cycles(quiver, relations)
+        return "invalid", violations + gentle_violations, None
+    walks = walk_table(quiver, relations)
+    finite = not any(periodic for _, periodic in walks.values())
     if gentle_violations:
-        return ("string" if finite else "locally-string"), gentle_violations
-    return ("gentle" if finite else "locally-gentle"), []
+        return ("string" if finite else "locally-string"), gentle_violations, walks
+    return ("gentle" if finite else "locally-gentle"), [], walks
 
 
 # -- the text grammar -----------------------------------------------------------

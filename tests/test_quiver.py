@@ -10,6 +10,7 @@ import pytest
 
 from stringalg import Path, PathAlgebra, parse_element, parse_quiver
 from stringalg.errors import QuiverFormatError
+from stringalg.quiver import AlgebraPresentation, Quiver, RelationSet
 
 from conftest import KRONECKER, ONE_LOOP, SOURCES, TWO_CYCLE_REL
 
@@ -72,6 +73,17 @@ def test_rejected_line_is_named(text, line, fragment):
     with pytest.raises(QuiverFormatError) as err:
         parse_quiver(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("build", [
+    lambda q: RelationSet(q, [("a", "zz")]),
+    lambda q: AlgebraPresentation.build(q, [("zz", "a")]),
+])
+def test_relation_with_unknown_arrow_is_a_format_error(build):
+    quiver = Quiver(["1"], [("a", "1", "1")])
+    with pytest.raises(QuiverFormatError) as err:
+        build(quiver)
+    assert "not a composable path" in str(err.value)
 
 
 def test_parse_error_carries_line_number():

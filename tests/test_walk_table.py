@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from stringalg import Element, Path, PathAlgebra
+from stringalg import quiver as quiver_module
 from stringalg.cli import run
 from stringalg.maximal import component_of_path
 
@@ -291,21 +292,33 @@ def test_walks_and_cycles_match_the_brute_force_reference():
                 cyc = on_cycle[a]
                 i = cyc.index(a)
                 assert walk == ((cyc[i:] + cyc[:i]) * bound)[:bound], (name, a)
+                assert presentation.walks[a] == (cyc[i:] + cyc[:i], True), (name, a)
                 continue
             assert a not in on_cycle, (name, a)
+            assert presentation.walks[a] == (walk, False), (name, a)
             quiver = algebra.quiver
             for b in quiver.arrows_from[quiver.target(walk[-1])]:
                 assert algebra.in_ideal(Path.of(walk + (b.name,))), (name, a, b.name)
 
 
-def test_long_relation_walks_are_pinned():
-    walks = {name: {a: make_algebra(source).walk_path(a, 20).arrows
-                    for a in ("x", "a", "b", "q", "z") if a in source.split()}
-             for name, source in LONG_RELATION_SOURCES.items()}
-    assert walks["loop_x9"] == {"x": ("x",) * 8}
-    assert walks["three_cycle_10"]["a"] == ("a", "b", "c") * 3
-    assert walks["three_cycle_10"]["b"] == (("b", "c", "a") * 4)[:11]
-    assert walks["three_cycle_mid_9"]["a"] == ("a", "b", "c") * 3
-    assert walks["three_cycle_mid_9"]["b"] == (("b", "c", "a") * 3)[:8]
-    assert walks["four_cycle_pendant_9"]["q"] == (("q", "r", "s", "p") * 2)[:8]
-    assert walks["killed_loop_beside_free_loop"] == {"x": ("x",) * 20, "z": ("z",) * 9}
+def test_walk_table_is_built_once_per_presentation(monkeypatch):
+    """Validation builds the table; the presentation keeps it and the
+    algebra's products, basis and cycles read it without walking again."""
+    built = []
+    walk_table = quiver_module.walk_table
+
+    def counted(quiver, relations):
+        built.append(quiver)
+        return walk_table(quiver, relations)
+
+    monkeypatch.setattr(quiver_module, "walk_table", counted)
+    for name, source in SOURCES.items():
+        built.clear()
+        algebra = make_algebra(source)
+        basis = algebra.enumerate_basis(6)
+        algebra.infinite_cycles()
+        algebra.radical_arrows()
+        for p in basis:
+            for q in basis:
+                algebra.concat(p, q)
+        assert len(built) == 1, name
