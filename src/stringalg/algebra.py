@@ -212,10 +212,14 @@ class PathAlgebra:
 
     def walk_path(self, arrow_name, length):
         """The basis path of the first `length` arrows of the walk from
-        `arrow_name`, built on first use and shared after."""
+        `arrow_name`, built on first use and shared after.  Raises
+        ValueError when length is below 1 or past the end of a finite walk."""
         key = (arrow_name, length)
         if key not in self._paths:
-            self._paths[key] = Path.of(self._walk(arrow_name, length))
+            walk = self._walk(arrow_name, length)
+            if length < 1 or len(walk) != length:
+                raise ValueError(f"no basis path of length {length} from arrow {arrow_name}")
+            self._paths[key] = Path.of(walk)
         return self._paths[key]
 
     # -- structural maps (require the string overlap conditions) ---------------

@@ -58,27 +58,10 @@ def _build_parser():
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON mirror of the text report")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", help="classify a presentation").add_argument("quiver_file")
-    sub.add_parser("basis", help="list basis paths up to --max-len").add_argument("quiver_file")
-    sub.add_parser("maximal", help="report maximal paths").add_argument("quiver_file")
-    sub.add_parser("radical", help="list radical basis paths").add_argument("quiver_file")
-    sub.add_parser("center0", help="degree-0 center dimension").add_argument("quiver_file")
-    p = sub.add_parser("derivation", help="validate and classify a derivation")
-    p.add_argument("quiver_file")
-    p.add_argument("map_file")
-    p = sub.add_parser("exp", help="exponentiate a derivation")
-    p.add_argument("quiver_file")
-    p.add_argument("map_file")
-    p = sub.add_parser("inner", help="conjugation by a unit")
-    p.add_argument("quiver_file")
-    p.add_argument("element_file")
-    p = sub.add_parser("decompose", help="decompose an automorphism")
-    p.add_argument("quiver_file")
-    p.add_argument("map_file")
-    p = sub.add_parser("smith", help="factor a polynomial matrix")
-    p.add_argument("matrix_file")
-    sub.add_parser("outer-class", help="outer class of a gentle presentation") \
-       .add_argument("quiver_file")
+    for name, (_, help_line, files) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for file in files:
+            command.add_argument(file)
     return parser
 
 
@@ -88,9 +71,7 @@ def _read(path):
 
 
 def _algebra(args):
-    presentation = parse_quiver(_read(args.quiver_file))
-    presentation.require_valid()
-    return PathAlgebra(presentation, max_path_length=args.max_len)
+    return PathAlgebra(parse_quiver(_read(args.quiver_file)), max_path_length=args.max_len)
 
 
 def _emit(args, lines, data):
@@ -241,18 +222,21 @@ def _cmd_outer_class(args):
     return 0
 
 
+# each subcommand: (handler, help line, file arguments)
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "basis": _cmd_basis,
-    "maximal": _cmd_maximal,
-    "radical": _cmd_radical,
-    "center0": _cmd_center0,
-    "derivation": _cmd_derivation,
-    "exp": _cmd_exp,
-    "inner": _cmd_inner,
-    "decompose": _cmd_decompose,
-    "smith": _cmd_smith,
-    "outer-class": _cmd_outer_class,
+    "validate": (_cmd_validate, "classify a presentation", ("quiver_file",)),
+    "basis": (_cmd_basis, "list basis paths up to --max-len", ("quiver_file",)),
+    "maximal": (_cmd_maximal, "report maximal paths", ("quiver_file",)),
+    "radical": (_cmd_radical, "list radical basis paths", ("quiver_file",)),
+    "center0": (_cmd_center0, "degree-0 center dimension", ("quiver_file",)),
+    "derivation": (_cmd_derivation, "validate and classify a derivation",
+                   ("quiver_file", "map_file")),
+    "exp": (_cmd_exp, "exponentiate a derivation", ("quiver_file", "map_file")),
+    "inner": (_cmd_inner, "conjugation by a unit", ("quiver_file", "element_file")),
+    "decompose": (_cmd_decompose, "decompose an automorphism", ("quiver_file", "map_file")),
+    "smith": (_cmd_smith, "factor a polynomial matrix", ("matrix_file",)),
+    "outer-class": (_cmd_outer_class, "outer class of a gentle presentation",
+                    ("quiver_file",)),
 }
 
 
@@ -263,7 +247,7 @@ def run(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _CAPS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_EXHAUSTED

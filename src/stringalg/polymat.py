@@ -10,17 +10,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as _gcd
 
 from .errors import (CapExceededError, InvariantError, MatrixFormatError,
                      NotInvertibleError)
 from . import _smith
 from .quiver import _format_sum, _lines, _parse_coeff, _signed_terms
-
-try:  # GMP-backed integers speed up Poly arithmetic (the extra "fast")
-    from gmpy2 import gcd as _gcd, mpz as _int
-except ImportError:  # pragma: no cover - pure-Python fallback
-    from math import gcd as _gcd
-    _int = int
 
 
 class Poly:
@@ -43,7 +38,7 @@ class Poly:
             d = c.denominator
             if d != 1:
                 den = den * d // _gcd(den, d)
-        nums = [_int(c.numerator) * (den // c.denominator) for c in fracs]
+        nums = [c.numerator * (den // c.denominator) for c in fracs]
         self.den, self.nums = _poly_normalize(den, nums)
 
     @classmethod
@@ -164,9 +159,7 @@ def _poly_normalize(den, nums):
     while nums and not nums[-1]:
         nums.pop()
     if not nums:
-        return _int(1), ()
-    den = _int(den)
-    nums = [_int(v) for v in nums]
+        return 1, ()
     # start the content chain at the smallest coefficient: when the content
     # is 1 (the usual case) a single cheap gcd settles it
     smallest = min((v for v in nums if v), key=lambda v: abs(v).bit_length())

@@ -5,12 +5,14 @@ paths of length >= 2 generating a monomial ideal.  Validation classifies the
 quotient algebra as string / locally-string / gentle / locally-gentle (or
 invalid), reporting a witness for every violated condition.
 
-Once the overlap conditions hold, each arrow has at most one surviving
-continuation, so the basis paths from an arrow are the prefixes of one walk.
-`walk_table` builds those walks, once per valid presentation: validation
-reads finite or infinite off it, `AlgebraPresentation` keeps it, and the
-path algebra reads its products, ideal membership, basis and surviving
-cycles from it.
+A composite of two arrows is zero exactly when it is a relation: the string
+and gentle conditions and the walk table read `RelationSet.zero_pairs`, and
+`RelationSet.contains`, the generic ideal scan, is their reference.  Once the
+overlap conditions hold, each arrow has at most one surviving continuation,
+so the basis paths from an arrow are the prefixes of one walk.  `walk_table`
+builds those walks, once per valid presentation: validation reads finite or
+infinite off it, `AlgebraPresentation` keeps it, and the path algebra reads
+its products, ideal membership, basis and surviving cycles from it.
 """
 
 from __future__ import annotations
@@ -169,6 +171,7 @@ class RelationSet:
 
     Generators of length < 2 are rejected; any generator properly containing
     another is dropped on construction, so the stored list is minimal.
+    `zero_pairs` holds the arrow pairs of the length-2 generators.
     """
 
     def __init__(self, quiver, generators):
@@ -187,6 +190,7 @@ class RelationSet:
                 minimal.append(p)
         self.generators = tuple(minimal)
         self.max_length = max((p.length for p in self.generators), default=0)
+        self.zero_pairs = frozenset(p.arrows for p in self.generators if p.length == 2)
 
     def contains(self, path):
         """Ideal membership: some generator occurs as a subpath."""
@@ -241,10 +245,6 @@ class AlgebraPresentation:
                 "presentation is not (locally) string: " + "; ".join(self.violations))
 
 
-def _pair_in_ideal(relations, x, y):
-    return relations.contains(Path.of((x, y)))
-
-
 def walk_table(quiver, relations):
     """{arrow name: (walk, periodic)} of a presentation satisfying the
     overlap conditions, under which each arrow has at most one surviving
@@ -252,17 +252,19 @@ def walk_table(quiver, relations):
 
     The successor of an arrow is the arrow after it that no length-2
     relation kills.  The walk from an arrow follows successors until a
-    relation ends at the next arrow; a relation inside the walk would have
-    ended it earlier, so only suffixes are checked.  A walk that returns to
-    its arrow and meets no relation end within the longest relation after
-    that goes round forever: its entry is the cycle read from the arrow,
-    periodic.  Any other entry is the longest basis path from the arrow.
+    relation of 3 or more arrows ends at the next arrow; a relation inside
+    the walk would have ended it earlier, so only suffixes are checked.  A
+    walk that returns to its arrow and meets no relation end within the
+    longest relation after that goes round forever: its entry is the cycle
+    read from the arrow, periodic.  Any other entry is the longest basis
+    path from the arrow.
     """
-    heads = {}    # each relation less its last arrow, by that arrow
+    heads = {}    # each longer relation less its last arrow, by that arrow
     for g in relations:
-        heads.setdefault(g.arrows[-1], []).append(list(g.arrows[:-1]))
+        if g.length > 2:
+            heads.setdefault(g.arrows[-1], []).append(list(g.arrows[:-1]))
     succ = {a.name: next((b.name for b in quiver.arrows_from[a.target]
-                          if [a.name] not in heads.get(b.name, ())), None)
+                          if (a.name, b.name) not in relations.zero_pairs), None)
             for a in quiver.arrows}
     table = {}
     for a in quiver.arrow_by_name:
@@ -284,6 +286,11 @@ def validate_presentation(quiver, relations):
     """(classification, violations, walk table) of a presentation, reporting
     every violated condition; the table is None when it is invalid.
 
+    At each overlap (two arrows into a vertex before one out, or one in
+    before two out) both composites surviving, outside
+    `relations.zero_pairs`, breaks the string conditions, and both
+    vanishing the gentle ones.
+
     Never raises: structurally sound input always yields a classification,
     possibly "invalid" with the list of witnessed violations.
     """
@@ -297,28 +304,19 @@ def validate_presentation(quiver, relations):
             violations.append(f"vertex {v} has outdegree {len(quiver.arrows_from[v])} > 2")
     gentle_violations = []
     for v in quiver.vertices:
-        ins = quiver.arrows_into[v]
-        outs = quiver.arrows_from[v]
-        for b, b2 in itertools.combinations(ins, 2):
-            for a in outs:
-                dead = [_pair_in_ideal(relations, b.name, a.name),
-                        _pair_in_ideal(relations, b2.name, a.name)]
-                if not any(dead):
-                    violations.append(
-                        f"both {b.name}.{a.name} and {b2.name}.{a.name} survive at vertex {v}")
-                elif all(dead):
-                    gentle_violations.append(
-                        f"both {b.name}.{a.name} and {b2.name}.{a.name} vanish at vertex {v}")
-        for b, b2 in itertools.combinations(outs, 2):
-            for a in ins:
-                dead = [_pair_in_ideal(relations, a.name, b.name),
-                        _pair_in_ideal(relations, a.name, b2.name)]
-                if not any(dead):
-                    violations.append(
-                        f"both {a.name}.{b.name} and {a.name}.{b2.name} survive at vertex {v}")
-                elif all(dead):
-                    gentle_violations.append(
-                        f"both {a.name}.{b.name} and {a.name}.{b2.name} vanish at vertex {v}")
+        ins = [a.name for a in quiver.arrows_into[v]]
+        outs = [a.name for a in quiver.arrows_from[v]]
+        overlaps = [((b, a), (b2, a)) for b, b2 in itertools.combinations(ins, 2)
+                    for a in outs]
+        overlaps += [((a, b), (a, b2)) for b, b2 in itertools.combinations(outs, 2)
+                     for a in ins]
+        for p, p2 in overlaps:
+            both = f"both {'.'.join(p)} and {'.'.join(p2)}"
+            dead = (p in relations.zero_pairs, p2 in relations.zero_pairs)
+            if not any(dead):
+                violations.append(f"{both} survive at vertex {v}")
+            elif all(dead):
+                gentle_violations.append(f"{both} vanish at vertex {v}")
     for g in relations:
         if g.length != 2:
             gentle_violations.append(f"relation {g} has length {g.length} != 2")

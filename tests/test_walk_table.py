@@ -11,6 +11,8 @@ import hashlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from stringalg import Element, Path, PathAlgebra
 from stringalg import quiver as quiver_module
 from stringalg.cli import run
@@ -79,6 +81,20 @@ def test_concat_results_are_interned():
                 assert seen.setdefault(r, r) is r, (name, str(r))
         assert all(algebra.walk_path(p.first_arrow, p.length) is p
                    for p in basis if p.arrows), name
+
+
+def test_walk_path_rejects_a_length_the_walk_does_not_have():
+    """A length past the end of a finite walk, or below 1, names no basis
+    path: it raises instead of handing out a shorter one under that key."""
+    algebra = make_algebra(LONG_RELATION_SOURCES["loop_x9"])
+    longest = algebra.walk_path("x", 8)
+    assert longest.arrows == ("x",) * 8
+    for length in (9, 20, 0, -1):
+        with pytest.raises(ValueError, match=f"length {length} from arrow x"):
+            algebra.walk_path("x", length)
+    assert algebra.walk_path("x", 8) is longest
+    cyclic = make_algebra(SOURCES["one_loop"])
+    assert cyclic.walk_path("x", 20).arrows == ("x",) * 20
 
 
 def _random_element(rng, algebra, basis):
