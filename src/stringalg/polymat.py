@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _gcd
+from math import gcd
 
 from .errors import (CapExceededError, InvariantError, MatrixFormatError,
                      NotInvertibleError)
@@ -37,7 +37,7 @@ class Poly:
         for c in fracs:
             d = c.denominator
             if d != 1:
-                den = den * d // _gcd(den, d)
+                den = den * d // gcd(den, d)
         nums = [c.numerator * (den // c.denominator) for c in fracs]
         self.den, self.nums = _poly_normalize(den, nums)
 
@@ -69,7 +69,7 @@ class Poly:
 
     def __add__(self, other):
         da, db = self.den, other.den
-        g = _gcd(da, db)
+        g = gcd(da, db)
         sa, sb = db // g, da // g
         n = max(len(self.nums), len(other.nums))
         a = list(self.nums) + [0] * (n - len(self.nums))
@@ -163,10 +163,10 @@ def _poly_normalize(den, nums):
     # start the content chain at the smallest coefficient: when the content
     # is 1 (the usual case) a single cheap gcd settles it
     smallest = min((v for v in nums if v), key=lambda v: abs(v).bit_length())
-    g = _gcd(den, smallest)
+    g = gcd(den, smallest)
     if g != 1:
         for v in nums:
-            g = _gcd(g, v)
+            g = gcd(g, v)
             if g == 1:
                 break
     if den < 0:
