@@ -177,8 +177,9 @@ def test_zero_derivation_carries_all_tags(ex_string):
 def test_derivation_self_target_not_nilpotent(ex_string):
     d = make_derivation(ex_string, [("a", ex_string.arrow("a"))])
     assert d.type_tags == frozenset({OTHER})
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError) as raised:
         exponentiate(d)
+    assert str(raised.value) == "derivation is not nilpotent on a within 4 iterations"
 
 
 # -- exponentials -----------------------------------------------------------------

@@ -9,6 +9,7 @@ from stringalg.quiver import AlgebraPresentation, Path, Quiver, RelationSet
 from stringalg.decompose import decompose_general
 from stringalg.maximal import classify_maximal, degree_zero_center_dimension
 
+from conftest import FREE_LOOP, SOURCES, make_algebra
 from factories import (derivation_targets, elementary_unit_paths,
                        random_graded_identity_automorphism)
 
@@ -103,6 +104,18 @@ def test_random_presentations_structure_maps():
         assert covered == set(algebra.quiver.arrow_by_name)
         assert set(report.finite_maximal) == \
             set(report.left_maximal) & set(report.right_maximal)
+
+
+def test_radical_degree_bound_is_the_longest_finite_maximal_path():
+    # a longest radical path extends on neither side, so it is maximal;
+    # exponentiate's iteration cap rests on this
+    rng = random.Random(3)
+    algebras = [(name, make_algebra(source))
+                for name, source in {**SOURCES, "free_loop": FREE_LOOP}.items()]
+    algebras += [(f"random {k}", PathAlgebra(random_presentation(rng))) for k in range(400)]
+    for name, algebra in algebras:
+        longest = max((p.length for p in classify_maximal(algebra).finite_maximal), default=0)
+        assert algebra.radical_degree_bound() == longest, name
 
 
 def test_random_presentations_decompose_round_trip():
