@@ -1,12 +1,14 @@
 """The machinery behind polymat.modified_smith and its certificate.
 
 Over Q the entries of the elimination swell far beyond the size of the
-factors before they cancel, so the elimination runs over Z/p for 512-bit
-primes p, and the exact factors are rebuilt from the images by Chinese
-remaindering to the symmetric range and rational reconstruction over shared
-denominators.  The certificate evaluates the product of the factors at
-integer points and interpolates.  Polynomials here are lists of integers,
-constant term first; a rational polynomial is a pair (den, numerators).
+factors before they cancel, so the elimination runs over Z/p for the 512-bit
+primes p of a fixed table of 128, and the exact factors are rebuilt from the
+images by Chinese remaindering to the symmetric range and rational
+reconstruction over shared denominators.  A matrix that needs more primes
+than the table holds stops with CapExceededError.  The certificate evaluates
+the product of the factors at integer points and interpolates.  Polynomials
+here are lists of integers, constant term first; a rational polynomial is a
+pair (den, numerators).
 """
 
 import math
@@ -15,7 +17,8 @@ from collections import Counter
 from .errors import CapExceededError, InvariantError
 
 PRIME_BITS = 512
-# the smallest odd c for which 2**512 - c is a probable prime, in order
+# the 128 smallest odd c for which 2**512 - c is prime, in order: the primes
+# one factorization may draw, so their 65,536 bits are its cap
 PRIME_OFFSETS = (
     569, 629, 875, 975, 1695, 1827, 2529, 2807, 2967, 3143, 3459, 3669, 3893,
     4005, 4475, 4653, 4893, 5487, 5663, 5993, 6005, 6429, 6485, 6579, 7589,
@@ -32,40 +35,12 @@ PRIME_OFFSETS = (
     40983, 41057)
 # bits of slack demanded of a reconstruction, against accepting too early
 MARGIN = 48
-# bits of the primes one factorization may draw (128 primes)
-MAX_PRIME_BITS = 1 << 16
 
 
 def primes():
+    """The elimination primes 2**512 - c for c in PRIME_OFFSETS, in order."""
     top = 1 << PRIME_BITS
-    for c in PRIME_OFFSETS:
-        yield top - c
-    c = PRIME_OFFSETS[-1] + 2
-    while True:
-        if probable_prime(top - c):
-            yield top - c
-        c += 2
-
-
-def probable_prime(n):
-    """Miller-Rabin with the first twelve prime bases."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2 or any(n % b == 0 for b in bases):
-        return n in bases
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return (top - c for c in PRIME_OFFSETS)
 
 
 def factorizations(start):
@@ -75,8 +50,8 @@ def factorizations(start):
 
     Each further candidate requested means the previous one failed its
     certificate; the elimination then starts over with further primes.
-    Raises CapExceededError before the next image once the primes drawn
-    would pass MAX_PRIME_BITS.
+    Raises CapExceededError once every prime of the table is drawn: their
+    bits are the cap.
     """
     n = len(start)
     if (all(sum(1 for _, nums in row if nums) <= 1 for row in start)
@@ -89,12 +64,8 @@ def factorizations(start):
     done = []                   # exact levels, in order
     block, rows, cols = start, everything, everything
     images = []                 # (prime, images of the levels from block on)
-    probe, attempt, bits = None, 1, 0
+    probe, attempt = None, 1
     for p in primes():
-        if bits + p.bit_length() > MAX_PRIME_BITS:
-            raise CapExceededError(f"smith: the primes in use reached {bits} bits; "
-                                   f"one more would pass the cap of {MAX_PRIME_BITS} bits")
-        bits += p.bit_length()
         image = smith_image(block, rows, cols, p)
         if image is None:
             continue
@@ -122,6 +93,9 @@ def factorizations(start):
         yield done
         # a level was accepted too early: start over with further primes
         done, block, rows, cols, images = [], start, everything, everything, []
+    cap = PRIME_BITS * len(PRIME_OFFSETS)
+    raise CapExceededError(f"smith: the primes in use reached {cap} bits; "
+                           f"one more would pass the cap of {cap} bits")
 
 
 def _traces(levels):

@@ -24,8 +24,8 @@ from .errors import (CapExceededError, CertificationError, DerivationError,
                      NotAUnitError, ShapeError)
 from ._linalg import matrix_inverse
 from .algebra import Element, format_element
-from .maximal import (classify_maximal, component_of_path, is_left_maximal,
-                      is_right_maximal, parallel_maximal)
+from .maximal import (component_of_path, is_left_maximal, is_right_maximal,
+                      parallel_maximal)
 from .quiver import Path, _read_map
 
 # derivation type tags
@@ -351,24 +351,18 @@ def _is_parallel_assignment(algebra, a, img):
     return bar is not None and next(iter(img.terms)) == bar
 
 
-def default_nilpotency_cap(algebra):
-    """One more than the longest finite maximal path length (at least 2)."""
-    report = classify_maximal(algebra)
-    longest = max((p.length for p in report.finite_maximal), default=0)
-    return max(longest + 1, 2)
-
-
 def exponentiate(d):
     """Exponential automorphism of a locally nilpotent derivation.
 
     Iterates the derivation on each generator until it vanishes, dividing by
-    factorials; raises CapExceededError past default_nilpotency_cap
-    iterations (the derivation is then not locally nilpotent).
+    factorials; raises CapExceededError past one more iteration than the
+    longest radical path (at least 2), which is also the longest finite
+    maximal path: the derivation is then not locally nilpotent.
     The returned endomorphism is certified and carries no inverse; the
     inverse is exponentiate(d.negated()).
     """
     algebra = d.algebra
-    cap = default_nilpotency_cap(algebra)
+    cap = max(algebra.radical_degree_bound() + 1, 2)
     arrow_images = {}
     for a in algebra.quiver.arrow_by_name:
         total = algebra.arrow(a)

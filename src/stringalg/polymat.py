@@ -315,23 +315,14 @@ class SmithFactorization:
     V: PolyMatrix
 
     def product(self):
-        """U * D * P_sigma * V, computed exactly once and kept (verify keeps
-        the matrix it was checked equal to instead)."""
+        """U * D * P_sigma * V, computed exactly once by _smith.product and
+        kept (verify keeps the matrix it was checked equal to instead)."""
         product = self.__dict__.get("_product")
         if product is None:
-            n = self.D.n
-            if all(e.den == 1 and e.nums == ((1,) if i == j else ())
-                   for mat in (self.U, self.V)
-                   for i, row in enumerate(mat.rows) for j, e in enumerate(row)):
-                # U = V = I: the product is D * P_sigma itself
-                product = PolyMatrix([[self.D.rows[i][i] if self.sigma[i] == j else Poly()
-                                       for j in range(n)] for i in range(n)])
-            else:
-                den, coeffs = _smith.product(_pairs(self.U.rows),
-                                             [(self.D.rows[k][k].den, self.D.rows[k][k].nums)
-                                              for k in range(n)],
-                                             self.sigma, _pairs(self.V.rows))
-                product = PolyMatrix([[Poly._raw(den, c) for c in row] for row in coeffs])
+            diag = [(self.D.rows[k][k].den, self.D.rows[k][k].nums) for k in range(self.D.n)]
+            den, coeffs = _smith.product(_pairs(self.U.rows), diag, self.sigma,
+                                         _pairs(self.V.rows))
+            product = PolyMatrix([[Poly._raw(den, c) for c in row] for row in coeffs])
             object.__setattr__(self, "_product", product)
         return product
 
@@ -413,8 +404,8 @@ def modified_smith(m):
     deflation, so the loop terminates.
 
     Over Q the entries swell far beyond the size of the factors before they
-    cancel, so the elimination runs over Z/p for a growing list of 512-bit
-    primes p (_smith.eliminate: the step of smith_elimination_step mod p),
+    cancel, so the elimination runs over Z/p for the 512-bit primes p of a
+    fixed table (_smith.eliminate: the step of smith_elimination_step mod p),
     and the exact factors are rebuilt from the images (see
     _smith.factorizations).  smith_elimination_step is the exact reference
     of that step and is not called here.  The result is returned only after

@@ -228,12 +228,22 @@ def test_smith_above_the_prime_bit_cap(files, capsys, monkeypatch):
     rng = random.Random(5)
     m = PolyMatrix([[Poly([rng.randint(-9, 9) for _ in range(5)]) for _ in range(6)]
                     for _ in range(6)])
-    monkeypatch.setattr(_smith, "MAX_PRIME_BITS", 4 * _smith.PRIME_BITS)
+    monkeypatch.setattr(_smith, "PRIME_OFFSETS", _smith.PRIME_OFFSETS[:4])
     assert run(["smith", files("m.mat", format_poly_matrix(m) + "\n")]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: smith: the primes in use reached 2048 bits; one more "
                             "would pass the cap of 2048 bits\n")
+
+
+def test_smith_past_the_full_prime_table(files, capsys, monkeypatch):
+    # no image is usable, so every prime of the table is drawn
+    monkeypatch.setattr(_smith, "smith_image", lambda start, rows, cols, p: None)
+    assert run(["smith", files("m.mat", EXAMPLE_MATRIX)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: smith: the primes in use reached 65536 bits; one more "
+                            "would pass the cap of 65536 bits\n")
 
 
 def test_smith_prints_coefficients_past_the_int_str_limit(files, capsys):

@@ -12,7 +12,7 @@ from stringalg.polymat import (MAX_PARSE_DEGREE, Poly, PolyMatrix, SmithFactoriz
                                poly_matrix_inverse,
                                smith_elimination_step, _pivot_position)
 from stringalg._smith import (PRIME_BITS, PRIME_OFFSETS, Differences, eliminate, horner,
-                              identity, pivot, primes, probable_prime, reduced)
+                              identity, pivot, primes, reduced)
 
 
 EXAMPLE_MATRIX = """
@@ -278,18 +278,14 @@ def test_differences_rebuild_integer_polynomials():
 
 
 def test_elimination_primes():
-    # the table holds probable primes 2**512 - c by increasing c, from the
-    # first one on, and the search goes on past it with the same test
+    # the table holds the primes 2**512 - c by increasing c, from the first
+    # one on, and primes() draws exactly those
+    sympy = pytest.importorskip("sympy")
     top = 1 << PRIME_BITS
     assert list(PRIME_OFFSETS) == sorted(set(PRIME_OFFSETS))
-    assert all(probable_prime(top - c) for c in PRIME_OFFSETS)
-    assert not any(probable_prime(top - c) for c in range(PRIME_OFFSETS[0] - 2, 0, -2))
-    stream = primes()
-    listed = [next(stream) for _ in PRIME_OFFSETS]
-    assert listed == [top - c for c in PRIME_OFFSETS]
-    beyond = next(stream)
-    assert beyond < listed[-1] and probable_prime(beyond)
-    assert not any(probable_prime(q) for q in range(beyond + 2, listed[-1], 2))
+    assert all(sympy.isprime(top - c) for c in PRIME_OFFSETS)
+    assert not any(sympy.isprime(top - c) for c in range(PRIME_OFFSETS[0] - 2, 0, -2))
+    assert list(primes()) == [top - c for c in PRIME_OFFSETS]
 
 
 def test_triangular_at_zero_closed_under_product_and_inverse():
