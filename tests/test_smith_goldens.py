@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from stringalg.polymat import Poly, PolyMatrix, modified_smith, parse_poly_matrix
+from stringalg import _smith
+from stringalg.polymat import (Poly, PolyMatrix, SmithFactorization, modified_smith,
+                               parse_poly_matrix)
 
 WORKED_MATRIX = ("6*x^3 - 4*x^2, -3*x + 2, 9*x^2 - 4;"
                  "2*x^2 - 1, -1, 3*x + 2;"
@@ -87,3 +89,93 @@ def test_certificate_rejects_perturbed_factor(large_items, factor):
     bad = dataclasses.replace(fact, **{factor: PolyMatrix(rows)})
     assert not bad.verify(m)
     assert bad.product() != m
+
+
+# Rank-deficient matrices: their elimination ends at a zero block, the level
+# of _smith.smith_image where pivot finds no entry and the level of
+# _smith.reconstruct with no pivot.
+SINGULAR_GOLDENS = {
+    "x, x; x, x": "eaae0430c07cb9a5de8920a98b55354e03317db5d2a97b701a6b08e2ca6e019e",
+    "1, x; x, x^2": "9d7c6b56f2c4b62162f3230562fb8c8d45c47161a28bae1d4b9fabe30f3931e2",
+    "1, 2, 3; 2, 4, 6; x, 2*x, 3*x":
+        "31c8b95d1093bcd202b036d6fd0a288ec1394fa2f377d219344bdd932e391dec",
+}
+
+# products A * B of an n x r and an r x n matrix, r < n <= 4, by seed
+LOW_RANK_PRODUCT_GOLDENS = {
+    0: "811461333e459f14afb3e84e1ef3e7e2fcef4d3faef7110fafc9e75a50bb89af",
+    1: "fa33c71f671592bd8376d9d301ac9705781b65e74488b1c3567ae5eb293a22c0",
+    2: "c8e550498af7b335fc9cb8ad4a6f1fa14e480ed9cf9938895bcae0f6c9f9ba4e",
+    3: "660143aa00cce285496eb84c6792d5f973a50dc10c23b83f7a1b5309d47a2713",
+    4: "409a7c1d35b551c38988e48dbb8c9d5caaa9b942eb3a4a93e6d24cad6c658450",
+    5: "94bb6cc44caaff3d5ea2af2f6074e74360f1e126bdda19f9f0faf0c5a9a7d02a",
+    6: "8a205bd854d72e840213f2cd9bf8ff3cbe0bcae1e9a12dbd2559083fd2e85d82",
+    7: "4b473327645456bde6a93f70be9db79fb52a93a6d38701042e0d98bbf4118153",
+}
+
+
+def _low_rank_product(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    r = rng.randint(1, n - 1)
+
+    def poly():
+        return Poly([Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))])
+
+    a = [[poly() for _ in range(r)] for _ in range(n)]
+    b = [[poly() for _ in range(n)] for _ in range(r)]
+    rows = [[sum((a[i][k] * b[k][j] for k in range(1, r)), a[i][0] * b[0][j])
+             for j in range(n)] for i in range(n)]
+    return PolyMatrix(rows)
+
+
+def _singular_cases():
+    for text, digest in SINGULAR_GOLDENS.items():
+        yield pytest.param(parse_poly_matrix(text), digest, id=text)
+    for seed, digest in LOW_RANK_PRODUCT_GOLDENS.items():
+        yield pytest.param(_low_rank_product(seed), digest, id=f"product-{seed}")
+
+
+def _sympy_rank(m):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    return sympy.Matrix([[sum(sympy.Rational(c.numerator, c.denominator) * x ** k
+                              for k, c in enumerate(e.coeffs)) for e in row]
+                         for row in m.rows]).rank()
+
+
+@pytest.mark.parametrize("m, digest", _singular_cases())
+def test_rank_deficient_factorization(m, digest):
+    fact = modified_smith(m)
+    assert fact.verify(m)
+    assert fact.U.is_unit_upper_at_zero() and fact.V.is_unit_upper_at_zero()
+    rank = sum(1 for i in range(m.n) if not fact.D.entry(i, i).is_zero)
+    assert 0 < rank < m.n
+    assert rank == _sympy_rank(m)
+    assert _digest(fact) == digest
+
+
+def test_failed_certificate_restarts_elimination(monkeypatch):
+    """A candidate that fails its certificate sends _smith.factorizations
+    back to the start with further primes; the next candidate passes."""
+    calls = {"compose": 0, "verify": 0}
+    compose, verify = _smith.compose, SmithFactorization.verify
+
+    def corrupting_compose(levels, n, side):
+        calls["compose"] += 1
+        den, rows = compose(levels, n, side)
+        if calls["compose"] == 1:
+            # the first U built: a new top coefficient in its corner entry
+            rows[0][0] = rows[0][0] + [den]
+        return den, rows
+
+    def counting_verify(self, m):
+        calls["verify"] += 1
+        return verify(self, m)
+
+    monkeypatch.setattr(_smith, "compose", corrupting_compose)
+    monkeypatch.setattr(SmithFactorization, "verify", counting_verify)
+    fact = modified_smith(parse_poly_matrix(WORKED_MATRIX))
+    assert calls == {"compose": 4, "verify": 2}
+    assert _digest(fact) == \
+        "29e51e5ab45cfb0e79ea4bce4d945594be81fc47257c78ddaaa4ad863bf37f4c"
