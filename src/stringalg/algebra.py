@@ -25,12 +25,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import BoundExceededError, ElementFormatError
+from .errors import CapExceededError, ElementFormatError
 from .quiver import Path, _format_sum, _parse_coeff, _signed_terms
 
 
-# default bound on the length of a finite basis path (the CLI's --max-len)
-MAX_PATH_LENGTH = 64
+# most arrows, over all its paths, that one enumerate_basis listing may hold
+BASIS_ARROW_CAP = 2_000_000
 
 
 def _canonical(c):
@@ -144,12 +144,11 @@ class Element:
 class PathAlgebra:
     """Arithmetic context for a valid (locally) string presentation."""
 
-    def __init__(self, presentation, max_path_length=MAX_PATH_LENGTH):
+    def __init__(self, presentation):
         presentation.require_valid()
         self.presentation = presentation
         self.quiver = presentation.quiver
         self.relations = presentation.relations
-        self.max_path_length = max_path_length
         self._cache = {}
         self._walks = presentation.walks
         # interned basis paths, by vertex or by (first arrow, length)
@@ -271,17 +270,11 @@ class PathAlgebra:
 
     def radical_paths(self):
         """All nonstationary basis paths avoiding every infinite maximal path,
-        a basis of the Jacobson radical: the prefixes of the finite walks.
-        Raises BoundExceededError when one is longer than max_path_length."""
+        a basis of the Jacobson radical: the prefixes of the finite walks."""
         if "radical_paths" not in self._cache:
-            bound, paths = self.max_path_length, []
-            for a in self.radical_arrows():
-                run = self._walk(a, bound + 1)
-                if len(run) > bound:
-                    raise BoundExceededError(
-                        f"basis path from arrow {a} exceeds length bound {bound}")
-                paths.extend(self.walk_path(a, k) for k in range(1, len(run) + 1))
-            self._cache["radical_paths"] = tuple(sorted(paths))
+            self._cache["radical_paths"] = tuple(sorted(
+                self.walk_path(a, k) for a in self.radical_arrows()
+                for k in range(1, len(self._walks[a][0]) + 1)))
         return self._cache["radical_paths"]
 
     def radical_degree_bound(self):
@@ -291,11 +284,19 @@ class PathAlgebra:
     # -- basis ------------------------------------------------------------------
 
     def enumerate_basis(self, max_len):
-        """Basis paths of length <= max_len in (length, lexicographic) order."""
+        """Basis paths of length <= max_len in (length, lexicographic) order.
+        Raises CapExceededError, before building any path, when they would
+        hold more than BASIS_ARROW_CAP arrows in all."""
+        runs = {a: max_len if periodic else min(len(walk), max_len)
+                for a, (walk, periodic) in self._walks.items()}
+        size = sum(k * (k + 1) // 2 for k in runs.values())
+        if size > BASIS_ARROW_CAP:
+            raise CapExceededError(
+                f"basis: the paths up to length {max_len} hold {size} arrows, "
+                f"past the cap of {BASIS_ARROW_CAP}")
         out = [self._paths[v] for v in sorted(self.quiver.vertices)]
-        for a in sorted(self.quiver.arrow_by_name):
-            run = self._walk(a, max_len)
-            out.extend(self.walk_path(a, k) for k in range(1, len(run) + 1))
+        for a in sorted(runs):
+            out.extend(self.walk_path(a, k) for k in range(1, runs[a] + 1))
         return sorted(out)
 
     def is_finite_dimensional(self):

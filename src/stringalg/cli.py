@@ -10,11 +10,10 @@ import argparse
 import json
 import sys
 
-from .algebra import MAX_PATH_LENGTH, PathAlgebra, format_element
+from .algebra import PathAlgebra, format_element
 from .decompose import DEGREE_CAP, decompose_general, outer_class
-from .errors import (BoundExceededError, CapExceededError, CertificationError,
-                     DecompositionError, DerivationError, NotAUnitError,
-                     StringAlgError)
+from .errors import (CapExceededError, CertificationError, DecompositionError,
+                     DerivationError, NotAUnitError, StringAlgError)
 from .maximal import classify_maximal, degree_zero_center_dimension, radical_basis
 from .morphisms import (exponentiate, format_endomorphism, inner_automorphism,
                         invert_unit, parse_derivation, parse_endomorphism,
@@ -26,9 +25,10 @@ USAGE_ERROR = 64
 INVALID_INPUT = 2
 CERTIFICATION_FAILURE = 3
 CAP_EXHAUSTED = 4
+# default longest path that basis lists (--max-len)
+MAX_PATH_LENGTH = 64
 
 _CERT = (CertificationError, DerivationError, NotAUnitError, DecompositionError)
-_CAPS = (BoundExceededError, CapExceededError)
 # every other library error, an unreadable file and one that is not UTF-8
 _INVALID = (StringAlgError, OSError, UnicodeDecodeError)
 
@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser():
     parser = _Parser(prog="stringalg", description=__doc__)
     parser.add_argument("--max-len", type=_positive, default=MAX_PATH_LENGTH,
-                        help="path-length guard for basis and maximal-path searches")
+                        help="length of the longest paths that basis lists")
     parser.add_argument("--cap-degree", type=_positive, default=DEGREE_CAP,
                         help="degree cap for the conjugation solver")
     parser.add_argument("--json", action="store_true",
@@ -71,7 +71,7 @@ def _read(path):
 
 
 def _algebra(args):
-    return PathAlgebra(parse_quiver(_read(args.quiver_file)), max_path_length=args.max_len)
+    return PathAlgebra(parse_quiver(_read(args.quiver_file)))
 
 
 def _emit(args, lines, data):
@@ -89,7 +89,7 @@ def _cmd_validate(args):
         _emit(args, lines, {"classification": presentation.classification,
                             "violations": list(presentation.violations)})
         return INVALID_INPUT
-    algebra = PathAlgebra(presentation, max_path_length=args.max_len)
+    algebra = PathAlgebra(presentation)
     finite, dim = algebra.is_finite_dimensional()
     parts = [presentation.classification,
              "finite-dimensional" if finite else "infinite-dimensional"]
@@ -248,7 +248,7 @@ def run(argv=None):
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
         return _COMMANDS[args.command][0](args)
-    except _CAPS as exc:
+    except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_EXHAUSTED
     except _CERT as exc:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by the whole library.
 
 The CLI maps these onto exit codes: format/shape problems are "invalid
-input" (2), failed certifications are (3), exhausted search bounds are (4).
+input" (2), failed certifications are (3), exhausted caps are (4).
 """
 
 
@@ -66,10 +66,6 @@ class NotInvertibleError(StringAlgError):
     def __init__(self, message, determinant=None):
         self.determinant = determinant
         super().__init__(message)
-
-
-class BoundExceededError(StringAlgError):
-    """A length bound was hit before the search closed; raise the bound."""
 
 
 class CapExceededError(StringAlgError):

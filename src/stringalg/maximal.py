@@ -78,11 +78,8 @@ def is_right_maximal(algebra, path):
 
 
 def classify_maximal(algebra):
-    """Classify maximal paths; finite ones are enumerated exactly.
-
-    Raises BoundExceededError when a finite-maximal candidate is still
-    extendable at max_path_length, signalling the caller to raise it.
-    """
+    """Classify maximal paths; finite ones are enumerated exactly, from the
+    radical paths, which the walk table bounds."""
     if "classify" in algebra._cache:
         return algebra._cache["classify"]
     infinite = tuple(InfiniteMaximalPath(Path.of(c)) for c in algebra.infinite_cycles())

@@ -407,10 +407,13 @@ class Unit:
 
 
 def geometric_inverse(y):
-    """Inverse of 1 + y for nilpotent y, by the terminating geometric series;
-    NotAUnitError when it runs past max_path_length + 1 terms."""
+    """Inverse of 1 + y for y of x-degree 0 with no stationary term, by the
+    geometric series.  x-degrees add, so the powers of y are sums of ever
+    longer x-degree-0 paths: the series ends within the longest of them, a
+    finite walk or a surviving cycle less one arrow.  NotAUnitError past it."""
     algebra = y.algebra
-    bound = algebra.max_path_length + 1
+    bound = 1 + max((len(walk) - periodic for walk, periodic
+                     in algebra.presentation.walks.values()), default=0)
     total = algebra.one()
     power = -y
     k = 0

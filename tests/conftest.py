@@ -160,8 +160,8 @@ SOURCES = {
 }
 
 
-def make_algebra(source, max_path_length=64):
-    return PathAlgebra(parse_quiver(source), max_path_length=max_path_length)
+def make_algebra(source):
+    return PathAlgebra(parse_quiver(source))
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from stringalg.cli import run
 from stringalg.polymat import MAX_PARSE_DEGREE, Poly, PolyMatrix, _pairs, format_poly_matrix
 
 from conftest import (CYCLE_PENDANT, DOUBLED_THREE_CYCLE, FREE_LOOP, KRONECKER,
-                      TWO_CYCLE_FREE, TWO_CYCLE_REL)
+                      ONE_LOOP, TWO_CYCLE_FREE, TWO_CYCLE_REL)
 from test_compose import wrong_unit_tower
 
 EXAMPLE_MATRIX = """6*x^3 - 4*x^2, -3*x + 2, 9*x^2 - 4
@@ -57,6 +57,43 @@ def test_basis(files, capsys):
     assert code == 0
     assert capsys.readouterr().out.split() == [
         "e_1", "e_2", "a", "b", "a.b", "b.a", "a.b.a", "b.a.b"]
+
+
+def test_basis_listing_cap(files, capsys):
+    # 100000 * 100001 / 2 arrows: refused before any path is built
+    code = run(["--max-len", "100000", "basis", files("q.quiver", ONE_LOOP)])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: basis: the paths up to length 100000 hold "
+                            "5000050000 arrows, past the cap of 2000000\n")
+
+
+# one loop whose 70th power vanishes: dimension 70, with basis paths longer
+# than the default --max-len
+LOOP_X70 = "vertex v\narrow x : v -> v\nrelation " + " ".join(["x"] * 70) + "\n"
+
+
+def test_long_finite_walk(files, capsys):
+    q = files("q.quiver", LOOP_X70)
+    assert run(["validate", q]) == 0
+    assert capsys.readouterr().out == "string; finite-dimensional; dim 70\n"
+    assert run(["maximal", q]) == 0
+    longest = ".".join(["x"] * 69)
+    assert capsys.readouterr().out == f"finite maximal:\n  {longest}\ninfinite maximal:\n"
+    assert run(["radical", q]) == 0
+    assert capsys.readouterr().out.split() == [".".join(["x"] * k) for k in range(1, 70)]
+
+
+@pytest.mark.parametrize("command, max_len, extra", [
+    ("maximal", "2", ()), ("radical", "2", ()), ("inner", "1", ("1 + 1*a + 1*b\n",))])
+def test_max_len_only_bounds_basis(files, capsys, command, max_len, extra):
+    args = [command, files("q.quiver", TWO_CYCLE_REL)]
+    args += [files(f"in{i}", text) for i, text in enumerate(extra)]
+    assert run(args) == 0
+    default = capsys.readouterr()
+    assert run(["--max-len", max_len] + args) == 0
+    assert capsys.readouterr() == default
 
 
 def test_maximal_report(files, capsys):

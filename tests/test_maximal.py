@@ -4,10 +4,7 @@ central cycle-sum elements."""
 import random
 from fractions import Fraction
 
-import pytest
-
 from stringalg import Path
-from stringalg.errors import BoundExceededError
 from stringalg.maximal import (arrow_partition, classify_maximal, cycle_sum,
                                degree_zero_center_dimension, parallel_maximal,
                                radical_basis, repeat_free_path, rotation_sum)
@@ -71,12 +68,6 @@ def test_every_arrow_in_some_maximal_path():
         for imp in rep.infinite_maximal:
             covered.update(imp.arrows)
         assert covered == set(algebra.quiver.arrow_by_name), name
-
-
-def test_classify_maximal_bound_error():
-    algebra = make_algebra(SOURCES["two_cycle_rel"], max_path_length=2)
-    with pytest.raises(BoundExceededError):
-        classify_maximal(algebra)
 
 
 def test_partition_examples(ex_string, poly_ring, cycle_pendant):

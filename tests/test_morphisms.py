@@ -474,6 +474,22 @@ def test_geometric_inverse_terminates_on_radical(ex_string):
     assert (ex_string.one() + y) * inv == ex_string.one()
 
 
+def test_geometric_inverse_cap_on_free_cycle():
+    # the longest path of x-degree 0 is one arrow, so the cap is two terms
+    algebra = make_algebra(SOURCES["two_cycle_free"])
+    assert geometric_inverse(algebra.arrow("a")) == algebra.parse_element("1 - 1*a")
+    for text in ("1*a.b", "1*a + 1*b"):    # x-degree 1: the powers never vanish
+        with pytest.raises(NotAUnitError, match="geometric series did not terminate"):
+            geometric_inverse(algebra.parse_element(text))
+
+
+def test_geometric_inverse_runs_the_longest_walk():
+    # x^70 = 0: the series for 1 + x has 70 terms
+    algebra = make_algebra("vertex v\narrow x : v -> v\nrelation " + " ".join(["x"] * 70))
+    x = algebra.arrow("x")
+    assert (algebra.one() + x) * geometric_inverse(x) == algebra.one()
+
+
 def test_format_endomorphism_round_trip(ex_string):
     f = verify_endomorphism(ex46_inner_map(ex_string))
     text = format_endomorphism(f)

@@ -87,7 +87,7 @@ def test_random_presentations_validate_and_classify():
         finite, dim = algebra.is_finite_dimensional()
         assert finite == (presentation.classification in ("string", "gentle"))
         if finite:
-            assert dim == len(algebra.enumerate_basis(algebra.max_path_length))
+            assert dim == len(algebra.enumerate_basis(algebra.radical_degree_bound()))
     assert len(seen) >= 2  # the generator reaches several classes
 
 

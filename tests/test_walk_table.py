@@ -191,6 +191,33 @@ def test_structure_reports_are_pinned(tmp_path, capsys):
     assert digests == STRUCTURE_DIGESTS
 
 
+# SHA-256 of the stdout of `basis --max-len 64` (the default) for each
+# fixture, pinned before the basis listing was capped
+BASIS_64_DIGESTS = {
+    "two_cycle_rel": "c8eceb8dc13c022fa6cfa64ea27b586ecbf2f5765c32af13a596e1005a04506d",
+    "one_loop": "cba938b094c117d974afffe1fee2cd22083fce4b175b0df0545c7b5a8bb6087e",
+    "kronecker": "3cafac0f371d5e7142155e177b1dc83b9c60cd680bb7eb809f5dc28e0fd1b899",
+    "two_cycle_free": "3b41a50ace95ccb383a7d15835c2d9377c064653a987d9f91b491d1298dc11e8",
+    "three_cycle_free": "7033ac86ce78beff11b98d9563a27aba09adbe09bdc91d81c90fda59b8931261",
+    "two_loops": "e8fc1352ad3fecc9c9cbaf86c57ebaaf936086bbc9957cee1af7157fedba12a8",
+    "cycle_pendant": "2e8f57bf7d618714fdd5de7d2de880e023bcbb8bcd2edbc2fbc9cef7b77735ae",
+    "cycle_with_diamond": "0a89b8dc269110a4d87a5094bbe83941e7006441927e2dd28edd008772846505",
+    "double_diamond": "9367be5123f3782b41adcff3e6635bf4a2bb5112539f68e337db504fa7815c8e",
+    "doubled_three_cycle": "5a53c16a1b60b270cd19f84f4a88c8fe27e4ed1f985d052576fc3540e07532b8",
+    "doubled_line": "ceb9e15b28642806de1fff7d8c555b40d5d852acf725bb0365505fdfda35f7a0",
+}
+
+
+def test_default_length_basis_is_pinned(tmp_path, capsys):
+    digests = {}
+    for name, source in SOURCES.items():
+        path = tmp_path / f"{name}.quiver"
+        path.write_text(source, encoding="utf-8")
+        assert run(["--max-len", "64", "basis", str(path)]) == 0, name
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digests == BASIS_64_DIGESTS
+
+
 # cycles that only a relation longer than the probes above (8 arrows) kills:
 # a loop, a three-cycle whose relation starts at its first arrow and one
 # whose relation starts mid-cycle, a four-cycle with a pendant arrow, and a
