@@ -145,6 +145,11 @@ arrow a : 1 -> 2
 relation x a
 """
 
+# one loop whose 70th power vanishes: string, dim 70, with basis paths
+# longer than the CLI's default --max-len; kept out of SOURCES, whose
+# reports are pinned
+LOOP_X70 = "vertex v\narrow x : v -> v\nrelation " + " ".join(["x"] * 70) + "\n"
+
 SOURCES = {
     "two_cycle_rel": TWO_CYCLE_REL,
     "one_loop": ONE_LOOP,

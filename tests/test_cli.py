@@ -10,7 +10,7 @@ from stringalg.cli import run
 from stringalg.polymat import MAX_PARSE_DEGREE, Poly, PolyMatrix, _pairs, format_poly_matrix
 
 from conftest import (CYCLE_PENDANT, DOUBLED_THREE_CYCLE, FREE_LOOP, KRONECKER,
-                      ONE_LOOP, TWO_CYCLE_FREE, TWO_CYCLE_REL)
+                      LOOP_X70, ONE_LOOP, TWO_CYCLE_FREE, TWO_CYCLE_REL)
 from test_compose import wrong_unit_tower
 
 EXAMPLE_MATRIX = """6*x^3 - 4*x^2, -3*x + 2, 9*x^2 - 4
@@ -67,11 +67,6 @@ def test_basis_listing_cap(files, capsys):
     assert captured.out == ""
     assert captured.err == ("error: basis: the paths up to length 100000 hold "
                             "5000050000 arrows, past the cap of 2000000\n")
-
-
-# one loop whose 70th power vanishes: dimension 70, with basis paths longer
-# than the default --max-len
-LOOP_X70 = "vertex v\narrow x : v -> v\nrelation " + " ".join(["x"] * 70) + "\n"
 
 
 def test_long_finite_walk(files, capsys):

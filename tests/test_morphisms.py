@@ -18,7 +18,7 @@ from stringalg.morphisms import (CYCLE, MAXIMAL, OTHER, PARALLEL, Endomorphism,
                                  parse_derivation, parse_endomorphism,
                                  verify_endomorphism)
 
-from conftest import SOURCES, make_algebra
+from conftest import LOOP_X70, SOURCES, make_algebra
 from factories import elementary_unit_paths, random_unit_factors, unit_product
 from test_acceptance import TWO_CYCLES_BRIDGE
 
@@ -485,7 +485,7 @@ def test_geometric_inverse_cap_on_free_cycle():
 
 def test_geometric_inverse_runs_the_longest_walk():
     # x^70 = 0: the series for 1 + x has 70 terms
-    algebra = make_algebra("vertex v\narrow x : v -> v\nrelation " + " ".join(["x"] * 70))
+    algebra = make_algebra(LOOP_X70)
     x = algebra.arrow("x")
     assert (algebra.one() + x) * geometric_inverse(x) == algebra.one()
 

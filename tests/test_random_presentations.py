@@ -8,6 +8,7 @@ from stringalg import PathAlgebra
 from stringalg.quiver import AlgebraPresentation, Path, Quiver, RelationSet
 from stringalg.decompose import decompose_general
 from stringalg.maximal import classify_maximal, degree_zero_center_dimension
+from stringalg.morphisms import geometric_inverse
 
 from conftest import FREE_LOOP, SOURCES, make_algebra
 from factories import (derivation_targets, elementary_unit_paths,
@@ -116,6 +117,21 @@ def test_radical_degree_bound_is_the_longest_finite_maximal_path():
     for name, algebra in algebras:
         longest = max((p.length for p in classify_maximal(algebra).finite_maximal), default=0)
         assert algebra.radical_degree_bound() == longest, name
+
+
+def test_geometric_inverse_ends_within_its_walk_cap():
+    # an element of x-degree 0 with no stationary term is nilpotent, and its
+    # series ends before the cap that geometric_inverse reads off the walks
+    rng = random.Random(11)
+    for _ in range(100):
+        algebra = PathAlgebra(random_presentation(rng))
+        paths = [algebra.walk_path(a, k) for a, (walk, _) in algebra.presentation.walks.items()
+                 for k in range(1, len(walk) + 1)]
+        paths = [p for p in paths if algebra.x_degree(p) == 0]
+        for _ in range(5):
+            y = algebra.element({p: rng.randint(1, 3) * rng.choice((-1, 1))
+                                 for p in rng.sample(paths, min(len(paths), 4))})
+            assert (algebra.one() + y) * geometric_inverse(y) == algebra.one()
 
 
 def test_random_presentations_decompose_round_trip():
