@@ -29,7 +29,8 @@ from .errors import CapExceededError, ElementFormatError
 from .quiver import Path, _format_sum, _parse_coeff, _signed_terms
 
 
-# most arrows, over all its paths, that one enumerate_basis listing may hold
+# most arrows, over all its paths, that one listing of basis paths may hold;
+# a listing at the cap peaks near 50-70 MB (CPython 3.11, x86-64)
 BASIS_ARROW_CAP = 2_000_000
 
 
@@ -268,35 +269,49 @@ class PathAlgebra:
             walk *= -(-max_len // len(walk))
         return walk[:max_len]
 
+    def _listing(self, runs, what, advice=""):
+        """The basis paths of the first 1..runs[a] arrows of the walk from
+        each arrow a.  Raises CapExceededError, before building any path,
+        when they would hold more than BASIS_ARROW_CAP arrows in all."""
+        size = sum(k * (k + 1) // 2 for k in runs.values())
+        if size > BASIS_ARROW_CAP:
+            raise CapExceededError(
+                f"{what} hold {size} arrows, past the cap of {BASIS_ARROW_CAP}{advice}")
+        return [self.walk_path(a, k) for a in runs for k in range(1, runs[a] + 1)]
+
     def radical_paths(self):
         """All nonstationary basis paths avoiding every infinite maximal path,
-        a basis of the Jacobson radical: the prefixes of the finite walks."""
+        a basis of the Jacobson radical: the prefixes of the finite walks.
+        The listing is capped as in `_listing`."""
         if "radical_paths" not in self._cache:
+            runs = {a: len(walk) for a, (walk, periodic) in self._walks.items()
+                    if not periodic}
             self._cache["radical_paths"] = tuple(sorted(
-                self.walk_path(a, k) for a in self.radical_arrows()
-                for k in range(1, len(self._walks[a][0]) + 1)))
+                self._listing(runs, "radical basis: its paths")))
         return self._cache["radical_paths"]
 
     def radical_degree_bound(self):
-        """Largest length of a radical basis path (0 when none exist)."""
-        return max((p.length for p in self.radical_paths()), default=0)
+        """Largest length of a radical basis path (0 when none exist): the
+        longest finite walk, read from the walk table."""
+        return max((len(walk) for walk, periodic in self._walks.values()
+                    if not periodic), default=0)
+
+    def x_degree_zero_bound(self):
+        """Largest length of a basis path of x-degree 0 (0 when there are no
+        arrows): a finite walk, or a surviving cycle less one arrow."""
+        return max((len(walk) - periodic for walk, periodic in self._walks.values()),
+                   default=0)
 
     # -- basis ------------------------------------------------------------------
 
     def enumerate_basis(self, max_len):
-        """Basis paths of length <= max_len in (length, lexicographic) order.
-        Raises CapExceededError, before building any path, when they would
-        hold more than BASIS_ARROW_CAP arrows in all."""
+        """Basis paths of length <= max_len in (length, lexicographic) order,
+        capped as in `_listing`."""
         runs = {a: max_len if periodic else min(len(walk), max_len)
                 for a, (walk, periodic) in self._walks.items()}
-        size = sum(k * (k + 1) // 2 for k in runs.values())
-        if size > BASIS_ARROW_CAP:
-            raise CapExceededError(
-                f"basis: the paths up to length {max_len} hold {size} arrows, "
-                f"past the cap of {BASIS_ARROW_CAP}")
         out = [self._paths[v] for v in sorted(self.quiver.vertices)]
-        for a in sorted(runs):
-            out.extend(self.walk_path(a, k) for k in range(1, runs[a] + 1))
+        out.extend(self._listing(runs, f"basis: the paths up to length {max_len}",
+                                 "; a smaller --max-len lists fewer"))
         return sorted(out)
 
     def is_finite_dimensional(self):
@@ -308,7 +323,7 @@ class PathAlgebra:
     def dimension(self):
         if self.infinite_cycles():
             return None
-        return len(self.quiver.vertices) + len(self.radical_paths())
+        return len(self.quiver.vertices) + sum(len(walk) for walk, _ in self._walks.values())
 
     # -- misc --------------------------------------------------------------------
 

@@ -79,7 +79,7 @@ def is_right_maximal(algebra, path):
 
 def classify_maximal(algebra):
     """Classify maximal paths; finite ones are enumerated exactly, from the
-    radical paths, which the walk table bounds."""
+    radical paths, under their listing cap."""
     if "classify" in algebra._cache:
         return algebra._cache["classify"]
     infinite = tuple(InfiniteMaximalPath(Path.of(c)) for c in algebra.infinite_cycles())

@@ -412,8 +412,7 @@ def geometric_inverse(y):
     longer x-degree-0 paths: the series ends within the longest of them, a
     finite walk or a surviving cycle less one arrow.  NotAUnitError past it."""
     algebra = y.algebra
-    bound = 1 + max((len(walk) - periodic for walk, periodic
-                     in algebra.presentation.walks.values()), default=0)
+    bound = algebra.x_degree_zero_bound() + 1
     total = algebra.one()
     power = -y
     k = 0

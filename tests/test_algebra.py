@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from stringalg import Path, format_element, parse_element
-from stringalg.errors import ElementFormatError
+from stringalg import Path, algebra as algebra_module, format_element, parse_element
+from stringalg.errors import CapExceededError, ElementFormatError
 
-from conftest import SOURCES, make_algebra
+from conftest import FREE_LOOP, SOURCES, TWO_CYCLE_REL, make_algebra
 
 
 def test_ideal_membership(ex_string):
@@ -197,3 +197,16 @@ def test_integral_arithmetic_builds_no_fraction(monkeypatch):
         monkeypatch.undo()
         assert built == [], name
         assert all(type(c) is int for r in results for c in r.terms.values()), name
+
+
+@pytest.mark.parametrize("source, listing, size", [
+    (FREE_LOOP, lambda algebra: algebra.enumerate_basis(10), 55 + 1),   # x^1..x^10, a
+    (TWO_CYCLE_REL, lambda algebra: algebra.radical_paths(), 2 * (1 + 2 + 3)),
+])
+def test_listing_cap_boundary(monkeypatch, source, listing, size):
+    # a listing of exactly the cap's arrows is built; one arrow more is refused
+    monkeypatch.setattr(algebra_module, "BASIS_ARROW_CAP", size)
+    assert sum(p.length for p in listing(make_algebra(source))) == size
+    monkeypatch.setattr(algebra_module, "BASIS_ARROW_CAP", size - 1)
+    with pytest.raises(CapExceededError, match=f"hold {size} arrows, past the cap of {size - 1}"):
+        listing(make_algebra(source))

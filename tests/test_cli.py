@@ -66,7 +66,25 @@ def test_basis_listing_cap(files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: basis: the paths up to length 100000 hold "
-                            "5000050000 arrows, past the cap of 2000000\n")
+                            "5000050000 arrows, past the cap of 2000000; "
+                            "a smaller --max-len lists fewer\n")
+
+
+def test_long_linear_quiver(files, capsys):
+    # 1000 arrows in a line, no relations: the walk table gives the dimension
+    # without listing the n^3/6 arrows of the radical basis, which is refused
+    n = 1000
+    text = "".join(f"vertex {i}\n" for i in range(n + 1))
+    text += "".join(f"arrow a{i} : {i} -> {i + 1}\n" for i in range(n))
+    q = files("line.quiver", text)
+    assert run(["validate", q]) == 0
+    assert capsys.readouterr().out == f"gentle; finite-dimensional; dim {n + 1 + n * (n + 1) // 2}\n"
+    for command in ("radical", "maximal"):
+        assert run([command, q]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: radical basis: its paths hold "
+                                f"{n * (n + 1) * (n + 2) // 6} arrows, past the cap of 2000000\n")
 
 
 def test_long_finite_walk(files, capsys):

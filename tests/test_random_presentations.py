@@ -128,6 +128,9 @@ def test_geometric_inverse_ends_within_its_walk_cap():
         paths = [algebra.walk_path(a, k) for a, (walk, _) in algebra.presentation.walks.items()
                  for k in range(1, len(walk) + 1)]
         paths = [p for p in paths if algebra.x_degree(p) == 0]
+        assert algebra.x_degree_zero_bound() == max((p.length for p in paths), default=0)
+        assert algebra.radical_degree_bound() == max(
+            (p.length for p in algebra.radical_paths()), default=0)
         for _ in range(5):
             y = algebra.element({p: rng.randint(1, 3) * rng.choice((-1, 1))
                                  for p in rng.sample(paths, min(len(paths), 4))})
