@@ -4,13 +4,15 @@ central cycle-sum elements."""
 import random
 from fractions import Fraction
 
-from stringalg import Path
+from stringalg import Path, PathAlgebra
 from stringalg.maximal import (arrow_partition, classify_maximal, cycle_sum,
                                degree_zero_center_dimension, parallel_maximal,
                                radical_basis, repeat_free_path, rotation_sum)
 from stringalg.morphisms import geometric_inverse
 
-from conftest import SOURCES, THREE_CYCLE_FREE, make_algebra
+from conftest import FREE_LOOP, SOURCES, THREE_CYCLE_FREE, make_algebra
+from test_random_presentations import random_presentation
+from test_walk_table import LONG_RELATION_SOURCES
 
 
 def test_repeat_free_path_examples(ex_string, kronecker, poly_ring):
@@ -35,6 +37,28 @@ def test_repeat_free_path_is_cycle_when_returning():
             q = algebra.quiver
             assert q.path_source(run) == q.path_target(run), name
             assert not algebra.in_ideal(Path.of(run.arrows + (a,))), name
+
+
+def test_repeat_free_path_and_rotation_sum_match_the_scan_reference():
+    """The run is the walk cut at its first repeated arrow, found by
+    scanning the arrows before each; the rotation sum exists exactly when
+    the run closes up and goes on by its own arrow outside the ideal."""
+    sources = dict(SOURCES, free_loop=FREE_LOOP, **LONG_RELATION_SOURCES)
+    algebras = [(name, make_algebra(source)) for name, source in sources.items()]
+    rng = random.Random(503)
+    algebras += [(f"random {k}", PathAlgebra(random_presentation(rng))) for k in range(300)]
+    for name, algebra in algebras:
+        q = algebra.quiver
+        for a in q.arrow_by_name:
+            walk, _ = algebra.presentation.walks[a]
+            cut = next((k for k, b in enumerate(walk) if b in walk[:k]), len(walk))
+            run = walk[:cut]
+            assert repeat_free_path(algebra, a) == Path.of(run), (name, a)
+            returns = (q.target(run[-1]) == q.source(a)
+                       and not algebra.in_ideal(Path.of(run + (a,))))
+            rotations = algebra.element({Path.of(run[i:] + run[:i]): 1
+                                         for i in range(len(run))})
+            assert rotation_sum(algebra, a) == (rotations if returns else None), (name, a)
 
 
 def test_classify_maximal_examples(kronecker, poly_ring, cycle_free):

@@ -59,8 +59,8 @@ def _reference_walks(presentation):
     """{arrow: (walk, periodic)} from the brute-force walks: a walk longer
     than every arrow plus the longest relation goes round its surviving
     cycle, and the entry is that cycle read from the arrow."""
-    quiver = presentation.quiver
-    bound = len(quiver.arrows) + presentation.relations.max_length + 1
+    quiver, relations = presentation.quiver, presentation.relations
+    bound = len(quiver.arrows) + max((g.length for g in relations), default=0) + 1
     table = {}
     for a in quiver.arrow_by_name:
         walk = _reference_walk(presentation, a, bound)
@@ -140,3 +140,23 @@ def test_random_relations_match_the_pair_scan_reference():
         seen.append(presentation.classification)
     assert seen.count("invalid") > len(seen) // 2
     assert set(seen) == {"invalid", *VALID_CLASSIFICATIONS}
+
+
+def _cycle_relation(n, start, length):
+    """The path of `length` arrows round the n-cycle from arrow c<start>."""
+    return Path.of(f"c{(start + t) % n}" for t in range(length))
+
+
+def test_long_relations_on_cycles_match_the_brute_force_walks():
+    """n-cycles with one or two relations longer than the cycle, starting at
+    every arrow: a walk winds round the cycle until the relation that starts
+    nearest ends it, or goes round forever when none does."""
+    for n in range(1, 6):
+        quiver = Quiver([f"v{i}" for i in range(n)],
+                        [(f"c{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
+        singles = [_cycle_relation(n, start, length)
+                   for start in range(n) for length in range(n + 1, 3 * n + 2)]
+        for relations in itertools.chain(([g] for g in singles),
+                                         itertools.combinations(singles, 2)):
+            name = f"{n}-cycle with {' and '.join(map(str, relations))}"
+            _check(name, AlgebraPresentation.build(quiver, relations))

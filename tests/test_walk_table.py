@@ -274,12 +274,13 @@ def _reference_cycles(presentation):
     arrows that no power meets the ideal, by RelationSet.contains on a power
     longer than the cycle plus the longest relation."""
     quiver, relations = presentation.quiver, presentation.relations
+    longest = max((g.length for g in relations), default=0)
     out = []
 
     def extend(cycle):
         last = quiver.target(cycle[-1])
         if last == quiver.source(cycle[0]):
-            power = Path.of(cycle * (relations.max_length + 2))
+            power = Path.of(cycle * (longest + 2))
             if not relations.contains(power):
                 out.append(cycle)
         for b in quiver.arrows_from[last]:
@@ -326,7 +327,8 @@ def test_walks_and_cycles_match_the_brute_force_reference():
         expected = ("" if not cycles else "locally-") + \
             ("gentle" if presentation.is_gentle else "string")
         assert presentation.classification == expected, name
-        bound = len(algebra.quiver.arrows) + algebra.relations.max_length + 1
+        longest = max((g.length for g in algebra.relations), default=0)
+        bound = len(algebra.quiver.arrows) + longest + 1
         on_cycle = {a: cyc for cyc in cycles for a in cyc}
         for a in sorted(algebra.quiver.arrow_by_name):
             walk = _reference_walk(presentation, a, bound)
