@@ -17,7 +17,7 @@ from .errors import StringAlgError
 from .maximal import (ArrowPartition, InfiniteMaximalPath, MaximalPathReport,
                       arrow_partition, classify_maximal, cycle_sum,
                       degree_zero_center_dimension, parallel_maximal,
-                      radical_basis, repeat_free_path, rotation_sum)
+                      repeat_free_path, rotation_sum)
 from .morphisms import (Derivation, Endomorphism, Unit, exponentiate,
                         inner_automorphism, invert_unit, make_derivation,
                         membership, graded_part, verify_endomorphism)

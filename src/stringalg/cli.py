@@ -14,7 +14,7 @@ from .algebra import PathAlgebra, format_element
 from .decompose import DEGREE_CAP, decompose_general, outer_class
 from .errors import (CapExceededError, CertificationError, DecompositionError,
                      DerivationError, NotAUnitError, StringAlgError)
-from .maximal import classify_maximal, degree_zero_center_dimension, radical_basis
+from .maximal import classify_maximal, degree_zero_center_dimension
 from .morphisms import (exponentiate, format_endomorphism, inner_automorphism,
                         invert_unit, parse_derivation, parse_endomorphism,
                         verify_endomorphism)
@@ -126,7 +126,7 @@ def _cmd_maximal(args):
 
 def _cmd_radical(args):
     algebra = _algebra(args)
-    paths = [str(p) for p in radical_basis(algebra)]
+    paths = [str(p) for p in algebra.radical_paths()]
     _emit(args, paths, {"radical_basis": paths})
     return 0
 

@@ -55,13 +55,13 @@ def repeat_free_path(algebra, arrow_name):
     """The longest basis path starting at the arrow with no repeated arrow.
 
     Unique because continuations are single valued: the arrow's entry in the
-    presentation's walk table cut at its first repeated arrow.  When the
-    arrow sits on a surviving cycle the entry is that cycle, read from the
-    arrow.
+    presentation's walk table cut where it returns to the arrow.  Since
+    predecessors are single valued too, that first return is the walk's
+    first repeated arrow.  When the arrow sits on a surviving cycle the
+    entry is that cycle, read from the arrow.
     """
     run, _ = algebra.presentation.walks[arrow_name]
-    cut = next((k for k, a in enumerate(run) if a in run[:k]), len(run))
-    return Path.of(run[:cut])
+    return Path.of(run[:(run + (arrow_name,)).index(arrow_name, 1)])
 
 
 def is_left_maximal(algebra, path):
@@ -108,12 +108,6 @@ def arrow_partition(algebra):
     )
 
 
-def radical_basis(algebra):
-    """Basis paths spanning the Jacobson radical: the nonstationary basis
-    paths that are subpaths of no infinite maximal path."""
-    return algebra.radical_paths()
-
-
 def component_of_path(algebra, path):
     """Index of the infinite maximal path containing a basis path, or None.
 
@@ -133,15 +127,14 @@ def cycle_sum(algebra, imp):
 def rotation_sum(algebra, arrow_name):
     """Sum of the rotations of the repeat-free cycle through an arrow.
 
-    Returns None when the arrow supports no returning path.  Otherwise the
+    Returns None when the arrow supports no returning path: its walk is
+    finite and ends before it comes back to the arrow.  Otherwise the
     result is a homogeneous central element whose powers, multiplied by the
     arrow, span the returning paths through that arrow.
     """
+    walk, periodic = algebra.presentation.walks[arrow_name]
     run = repeat_free_path(algebra, arrow_name)
-    q = algebra.quiver
-    if q.path_target(run) != q.path_source(run):
-        return None
-    if algebra.in_ideal(Path.of(run.arrows + (arrow_name,))):
+    if not periodic and len(walk) == run.length:
         return None
     return _central_rotation_sum(algebra, run.arrows, f"rotation sum of {arrow_name}")
 

@@ -9,15 +9,20 @@ A composite of two arrows is zero exactly when it is a relation: the string
 and gentle conditions and the walk table read `RelationSet.zero_pairs`, and
 `RelationSet.contains`, the generic ideal scan, is their reference.  Once the
 overlap conditions hold, each arrow has at most one surviving continuation,
-so the basis paths from an arrow are the prefixes of one walk.  `walk_table`
-builds those walks, once per valid presentation: validation reads finite or
-infinite off it, `AlgebraPresentation` keeps it, and the path algebra reads
-its products, ideal membership, basis and surviving cycles from it.
+so the basis paths from an arrow are the prefixes of one walk.  A minimal
+relation of 3 or more arrows holds no zero pair, so it is the walk from its
+first arrow cut to its length, and a walk stops one arrow short of the end
+of any relation that starts on it.  `walk_table` builds those walks in one
+pass over their arrows, once per valid presentation: validation reads
+finite or infinite off it, `AlgebraPresentation` keeps it, and the path
+algebra reads its products, ideal membership, basis and surviving cycles
+from it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -189,7 +194,6 @@ class RelationSet:
             if not any(p.contains(q) for q in minimal):
                 minimal.append(p)
         self.generators = tuple(minimal)
-        self.max_length = max((p.length for p in self.generators), default=0)
         self.zero_pairs = frozenset(p.arrows for p in self.generators if p.length == 2)
 
     def contains(self, path):
@@ -251,31 +255,29 @@ def walk_table(quiver, relations):
     continuation and at most one surviving predecessor.
 
     The successor of an arrow is the arrow after it that no length-2
-    relation kills.  The walk from an arrow follows successors until a
-    relation of 3 or more arrows ends at the next arrow; a relation inside
-    the walk would have ended it earlier, so only suffixes are checked.  A
-    walk that returns to its arrow and meets no relation end within the
-    longest relation after that goes round forever: its entry is the cycle
-    read from the arrow, periodic.  Any other entry is the longest basis
-    path from the arrow.
+    relation kills.  A minimal relation of 3 or more arrows holds no such
+    pair, so it runs along successors from its first arrow: a walk that
+    reaches that arrow after i arrows keeps at most i + length - 1.  The
+    walk from an arrow follows successors and carries the nearest such end.
+    By the unique predecessor its first repeated arrow is its own first
+    one; a walk that comes back to it with no end pending goes round
+    forever: its entry is the cycle read from the arrow, periodic.  Any
+    other entry is the longest basis path from the arrow.
     """
-    heads = {}    # each longer relation less its last arrow, by that arrow
-    for g in relations:
-        if g.length > 2:
-            heads.setdefault(g.arrows[-1], []).append(list(g.arrows[:-1]))
+    # the arrows a walk keeps from the first arrow of a longer relation on;
+    # two such relations from one arrow would be one the other's prefix
+    keep = {g.arrows[0]: g.length - 1 for g in relations if g.length > 2}
     succ = {a.name: next((b.name for b in quiver.arrows_from[a.target]
                           if (a.name, b.name) not in relations.zero_pairs), None)
             for a in quiver.arrows}
     table = {}
     for a in quiver.arrow_by_name:
-        walk, period = [a], None
-        while (nxt := succ[walk[-1]]) is not None and not any(
-                walk[-len(h):] == h for h in heads.get(nxt, ())):
-            if nxt == a and period is None:
-                period = len(walk)
-            if period is not None and len(walk) >= period + relations.max_length:
-                table[a] = (tuple(walk[:period]), True)
+        walk, end = [a], keep.get(a, math.inf)
+        while (nxt := succ[walk[-1]]) is not None and len(walk) < end:
+            if nxt == a and end == math.inf:
+                table[a] = (tuple(walk), True)
                 break
+            end = min(end, len(walk) + keep.get(nxt, math.inf))
             walk.append(nxt)
         else:
             table[a] = (tuple(walk), False)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from stringalg.decompose import (ENDPOINT_PRESERVING, EXP_MAXIMAL, INNER,
                                  decompose_general, decompose_string,
                                  outer_class)
-from stringalg.maximal import degree_zero_center_dimension, radical_basis
+from stringalg.maximal import degree_zero_center_dimension
 from stringalg.morphisms import (CYCLE, MAXIMAL, exponentiate,
                                  inner_automorphism, invert_unit,
                                  make_derivation, parse_endomorphism,
@@ -199,7 +199,7 @@ def test_criterion_6_structural_assertions():
         assert degree_zero_center_dimension(algebra) == 1, name
         # the radical basis generates a nilpotent ideal: products of radical
         # paths die within the dimension bound
-        rad = [algebra.path_element(p) for p in radical_basis(algebra)]
+        rad = [algebra.path_element(p) for p in algebra.radical_paths()]
         bound = algebra.radical_degree_bound()
         layer = list(rad)
         depth = 1

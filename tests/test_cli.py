@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -96,6 +97,17 @@ def test_long_finite_walk(files, capsys):
     assert capsys.readouterr().out == f"finite maximal:\n  {longest}\ninfinite maximal:\n"
     assert run(["radical", q]) == 0
     assert capsys.readouterr().out.split() == [".".join(["x"] * k) for k in range(1, 70)]
+
+
+def test_validate_long_relation_within_budget(files, capsys):
+    # one loop whose 100000th power vanishes: the walk from x is built one
+    # arrow at a time, so its length costs no more than its arrows
+    q = files("q.quiver", "vertex v\narrow x : v -> v\nrelation" + " x" * 100000 + "\n")
+    start = time.perf_counter()
+    assert run(["validate", q]) == 0
+    elapsed = time.perf_counter() - start
+    assert capsys.readouterr().out == "string; finite-dimensional; dim 100000\n"
+    assert elapsed < 2.0, f"validate took {elapsed:.1f}s, over the 2s budget"
 
 
 @pytest.mark.parametrize("command, max_len, extra", [

@@ -7,7 +7,7 @@ from fractions import Fraction
 from stringalg import Path, PathAlgebra
 from stringalg.maximal import (arrow_partition, classify_maximal, cycle_sum,
                                degree_zero_center_dimension, parallel_maximal,
-                               radical_basis, repeat_free_path, rotation_sum)
+                               repeat_free_path, rotation_sum)
 from stringalg.morphisms import geometric_inverse
 
 from conftest import FREE_LOOP, SOURCES, THREE_CYCLE_FREE, make_algebra
@@ -137,10 +137,10 @@ def test_partition_blocks_are_ideals():
 
 
 def test_radical_basis_examples(ex_string, poly_ring, cycle_free):
-    assert [str(p) for p in radical_basis(ex_string)] == [
+    assert [str(p) for p in ex_string.radical_paths()] == [
         "a", "b", "a.b", "b.a", "a.b.a", "b.a.b"]
-    assert radical_basis(poly_ring) == ()
-    assert radical_basis(cycle_free) == ()
+    assert poly_ring.radical_paths() == ()
+    assert cycle_free.radical_paths() == ()
 
 
 def test_radical_elements_are_invertible_perturbations():
@@ -149,7 +149,7 @@ def test_radical_elements_are_invertible_perturbations():
     for name in ("two_cycle_rel", "cycle_pendant", "cycle_with_diamond"):
         algebra = make_algebra(SOURCES[name])
         basis = algebra.enumerate_basis(6)
-        for w in radical_basis(algebra):
+        for w in algebra.radical_paths():
             y = algebra.element({
                 p: Fraction(rng.randint(-3, 3))
                 for p in rng.sample(basis, min(3, len(basis)))})
