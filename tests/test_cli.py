@@ -1,6 +1,7 @@
 """Command-line surface: deterministic reports and exit codes."""
 
 import json
+import pathlib
 import random
 import time
 
@@ -18,6 +19,11 @@ EXAMPLE_MATRIX = """6*x^3 - 4*x^2, -3*x + 2, 9*x^2 - 4
 2*x^2 - 1, -1, 3*x + 2
 2*x^3, -x + 1, 3*x^2 + 2*x
 """
+
+# `stringalg --help` and each subcommand's `-h` at 80 columns
+HELP_GOLDEN = pathlib.Path(__file__).with_name("cli_help.golden")
+HELP_COMMANDS = ("validate", "basis", "maximal", "radical", "center0", "derivation",
+                 "exp", "inner", "decompose", "smith", "outer-class")
 
 
 @pytest.fixture
@@ -380,3 +386,18 @@ def test_nonpositive_cap_is_usage_error(files, capsys):
     q = files("q.quiver", KRONECKER)
     assert run(["--max-len", "0", "validate", q]) == 64
     assert run(["--cap-degree", "-1", "validate", q]) == 64
+
+
+def _help_transcript(capsys):
+    parts = []
+    for argv in [["--help"]] + [[name, "-h"] for name in HELP_COMMANDS]:
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        parts.append(f"$ stringalg {' '.join(argv)}\n{captured.out}")
+    return "".join(parts)
+
+
+def test_help_text_golden(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _help_transcript(capsys) == HELP_GOLDEN.read_text(encoding="utf-8")

@@ -3,6 +3,7 @@
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from stringalg.errors import QuiverFormatError
 from stringalg.quiver import AlgebraPresentation, Quiver, RelationSet
 
 from conftest import KRONECKER, ONE_LOOP, SOURCES, TWO_CYCLE_REL
+from test_validate_reference import random_relation_presentation
 
 
 def test_parse_example_string_algebra():
@@ -145,6 +147,36 @@ relation x x
 relation x x x
 """)
     assert [str(g) for g in p.relations] == ["x.x"]
+
+
+def _reference_minimal(paths):
+    """The paths that hold no other one as a subpath, in path order."""
+    paths = set(paths)
+    return tuple(sorted(p for p in paths
+                        if not any(q != p and p.contains(q) for q in paths)))
+
+
+def test_relation_minimization_matches_the_subpath_scan():
+    """Random presentations, most of them invalid, with each relation also
+    given one arrow more before it, after it and on both sides, so that many
+    generators contain another."""
+    rng = random.Random(2024)
+    dropped = 0
+    for k in range(2000):
+        presentation = random_relation_presentation(rng)
+        quiver = presentation.quiver
+        paths = []
+        for g in presentation.relations:
+            before = [b.name for b in quiver.arrows_into[quiver.path_source(g)]]
+            after = [c.name for c in quiver.arrows_from[quiver.path_target(g)]]
+            paths.append(g.arrows)
+            paths += [(b,) + g.arrows for b in before]
+            paths += [g.arrows + (c,) for c in after]
+            paths += [(b,) + g.arrows + (c,) for b in before for c in after]
+        expected = _reference_minimal(Path.of(arrows) for arrows in paths)
+        assert RelationSet(quiver, paths).generators == expected, f"draw {k}"
+        dropped += len(set(paths)) - len(expected)
+    assert dropped > 10000
 
 
 def test_relation_set_subpath_invariant():
