@@ -7,6 +7,7 @@ cap exhausted, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -49,7 +50,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built on the first `run` and reused by every later one:
+    `parse_args` returns a fresh namespace and changes nothing in it."""
     parser = _Parser(prog="stringalg", description=__doc__)
     parser.add_argument("--max-len", type=_positive, default=MAX_PATH_LENGTH,
                         help="length of the longest paths that basis lists")

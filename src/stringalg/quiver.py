@@ -175,7 +175,16 @@ class RelationSet:
     """Minimal generating paths of a monomial ideal of the path algebra.
 
     Generators of length < 2 are rejected; any generator properly containing
-    another is dropped on construction, so the stored list is minimal.
+    another is dropped on construction, so the stored list is minimal.  A
+    generator holds a shorter one only where it passes that one's first
+    arrow, so it is compared with the kept generators that start with one
+    of its arrows, shortest first, at those offsets only and only where the
+    kept one fits before its end.  Under the overlap conditions at most two
+    kept generators start with an arrow (its zero pairs, or one zero pair
+    and the relation along its walk).  A generator holding a zero pair is
+    dropped before any longer one is compared, and one holding none runs
+    along its walk, so its first comparison with a longer one matches: the
+    scan is linear in the generators' total length.
     `zero_pairs` holds the arrow pairs of the length-2 generators.
     """
 
@@ -188,11 +197,19 @@ class RelationSet:
             if not quiver.is_composable(p.arrows):
                 raise QuiverFormatError(f"relation {p} is not a composable path")
             paths.append(p)
-        # sorted by length, so any generator containing another sees it first
-        minimal = []
+        # sorted by length, so any generator containing another sees it
+        # first; `starting` holds the kept ones by their first arrow
+        minimal, starting = [], {}
         for p in sorted(set(paths)):
-            if not any(p.contains(q) for q in minimal):
+            arrows, n = p.arrows, p.length
+            offsets = {}
+            for i, a in enumerate(arrows):
+                offsets.setdefault(a, []).append(i)
+            shorter = sorted(q for a in offsets for q in starting.get(a, ()))
+            if not any(arrows[i:i + q.length] == q.arrows
+                       for q in shorter for i in offsets[q.arrows[0]] if i + q.length <= n):
                 minimal.append(p)
+                starting.setdefault(arrows[0], []).append(p)
         self.generators = tuple(minimal)
         self.zero_pairs = frozenset(p.arrows for p in self.generators if p.length == 2)
 

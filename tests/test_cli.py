@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from stringalg import _smith, decompose
+from stringalg import _smith, cli, decompose
 from stringalg.cli import run
 from stringalg.polymat import MAX_PARSE_DEGREE, Poly, PolyMatrix, _pairs, format_poly_matrix
 
@@ -401,3 +401,51 @@ def _help_transcript(capsys):
 def test_help_text_golden(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert _help_transcript(capsys) == HELP_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_parser_reuse_leaks_no_state(files, capsys, monkeypatch):
+    """Many calls in one process build the parser at most once, and no
+    option, usage error or help request carries over to the next call."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "stringalg":
+            built.append(kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    k = files("k.quiver", KRONECKER)
+    loop = files("loop.quiver", ONE_LOOP)
+    q = files("q.quiver", TWO_CYCLE_FREE)
+    # conjugation by 1 + 2*b.a.b: decomposes at the default degree cap, not at 1
+    m = files("f.map", "map e_1 = 1*e_1 - 2*b.a.b\nmap e_2 = 1*e_2 + 2*b.a.b\n"
+                       "map a = 1*a + 2*a.b.a.b - 2*b.a.b.a - 4*b.a.b.a.b.a.b\n")
+
+    def call(*argv):
+        code = run(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    validate = call("validate", k)
+    basis = call("basis", loop)
+    decomposed = call("decompose", q, m)
+    assert validate == (0, "gentle; finite-dimensional; dim 4\n", "")
+    assert basis[0] == 0 and len(basis[1].split()) == 65
+    assert decomposed[0] == 0 and decomposed[1].endswith("verified: true\n")
+    helps = []
+    for _ in range(3):
+        assert json.loads(call("--json", "validate", k)[1])["dimension"] == 4
+        assert call("validate", k) == validate
+        assert call("--max-len", "4", "basis", loop)[1].split() == [
+            "e_v", "x", "x.x", "x.x.x", "x.x.x.x"]
+        assert call("basis", loop) == basis
+        assert call("--cap-degree", "1", "decompose", q, m)[0] == 4
+        assert call("decompose", q, m) == decomposed
+        assert call("no-such-command")[0] == 64
+        assert call()[0] == 64
+        assert call("validate", k) == validate
+        helps.append(call("--help"))
+    assert helps[0][0] == 0 and helps[0][1].startswith("usage: stringalg")
+    assert helps[2] == helps[1] == helps[0]
+    assert len(built) <= 1

@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -177,6 +178,38 @@ def test_relation_minimization_matches_the_subpath_scan():
         assert RelationSet(quiver, paths).generators == expected, f"draw {k}"
         dropped += len(set(paths)) - len(expected)
     assert dropped > 10000
+
+
+# long relations: a relation is compared with a shorter one only where it
+# passes that one's first arrow and the shorter one fits before its end, and
+# with the shorter ones first, so the zero pair late in a long relation that
+# is not minimal is found before the long relation along its prefix
+LONG_MINIMAL_RELATIONS = {
+    # loops x at 1 and y at 2 joined by a
+    "two_loops": ("vertex 1\nvertex 2\narrow x : 1 -> 1\narrow y : 2 -> 2\n"
+                  "arrow a : 1 -> 2\nrelation x a\nrelation a y\n"
+                  f"relation{' x' * 80000}\nrelation{' y' * 40000}\n",
+                  "string", [2, 2, 40000, 80000]),
+    "two_cycle": ("vertex 1\nvertex 2\narrow a : 1 -> 2\narrow b : 2 -> 1\n"
+                  f"relation{' a b' * 25000}\nrelation{' b a' * 25000}\n",
+                  "string", [50000, 50000]),
+    # loops x at 1 and z at 2 joined by y
+    "late_zero_pair": ("vertex 1\nvertex 2\narrow x : 1 -> 1\narrow y : 1 -> 2\n"
+                       "arrow z : 2 -> 2\nrelation x y\nrelation y z\n"
+                       f"relation{' x' * 20000}\nrelation{' x' * 19999} y{' z' * 20000}\n",
+                       "locally-string", [2, 2, 20000]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_MINIMAL_RELATIONS))
+def test_long_minimal_relations_parse_within_budget(name):
+    text, classification, lengths = LONG_MINIMAL_RELATIONS[name]
+    start = time.perf_counter()
+    p = parse_quiver(text)
+    elapsed = time.perf_counter() - start
+    assert p.classification == classification
+    assert [g.length for g in p.relations] == lengths
+    assert elapsed < 1.0, f"parse_quiver took {elapsed:.2f}s, over the 1s budget"
 
 
 def test_relation_set_subpath_invariant():
