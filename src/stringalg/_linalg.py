@@ -1,74 +1,172 @@
-"""Exact sparse Gaussian elimination over the rationals: a row is a dict
-{column: value} of its nonzero entries, and elimination touches only those.
-The reduced echelon form is unique, so results can be pinned in goldens.
+"""Exact sparse elimination by columns, in integers.
+
+A system grows one column (unknown) at a time.  `Echelon.add` reduces the
+new column against the pivot columns found so far, in the order they were
+found, and keeps it as a new pivot when an entry is left.  Each pivot
+carries the combination of the original columns that it is, so a dependent
+column comes back as its relation to the columns before it.  A right-hand
+side is reduced once against each new pivot, so it carries over as the
+columns grow.  Columns are dicts {row: value} of their nonzero entries, and
+elimination touches only those.
+
+The elimination is fraction-free.  A rational column is first scaled to
+integers by the common denominator of its entries.  A pivot p that does not
+divide the entry f it clears scales the column by p / gcd(p, f) instead of
+dividing, and the column and its combination are then divided by their
+common content.  So no `Fraction` is built on integral input: Fractions
+appear only in a returned value that is not an integer.
+
+An unknown whose column depends on the columns before it keeps coefficient
+0, so with free unknowns the solution follows insertion order.  Added in
+column order, this is the reduced echelon form's particular solution, and
+that form is unique, so results can be pinned in goldens.  `_rref` is the
+batch use of the same elimination, and `nullspace`, `solve_affine` and
+`matrix_inverse` go through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+_TARGET = object()   # the right-hand side's key in a combination
+
+
+class Echelon:
+    """Column echelon form of a sparse system A * x = target whose columns
+    arrive one at a time, each under the key of its unknown."""
+
+    def __init__(self, target=None):
+        self.pivots = []   # (pivot row, reduced column, its combination of unknowns)
+        # s * target - A * x, with s and -x kept as its combination
+        self.residual = _integral(_TARGET, target or {})
+
+    def add(self, unknown, column):
+        """Reduce the column of a new unknown against the pivots.  Returns
+        None when it becomes a pivot, else its relation {unknown: t, earlier
+        unknown: c, ...}, integers with t * column + sum c * earlier == 0."""
+        vector, combination = _reduce(*_integral(unknown, column), self.pivots)
+        if not vector:
+            return combination
+        # a pivot of 1 or -1 reduces later columns without scaling them
+        row = next((r for r, v in vector.items() if v == 1 or v == -1), next(iter(vector)))
+        self.pivots.append((row, vector, combination))
+        if self.residual[0]:
+            _reduce(*self.residual, self.pivots[-1:])
+        return None
+
+    def solution(self):
+        """{unknown: value} of a solution's nonzero coefficients, or None
+        while the target is outside the span of the columns added so far."""
+        vector, combination = self.residual
+        if vector:
+            return None
+        s = combination[_TARGET]
+        return {u: _ratio(-c, s) for u, c in combination.items() if u is not _TARGET}
+
+
+def _integral(key, column):
+    """(d * column, {key: d}) with d the common denominator of the column's
+    entries, zeros dropped: the column in integers, and the combination of
+    original columns that it is."""
+    d = lcm(*(v.denominator for v in column.values()))
+    return {r: v.numerator * (d // v.denominator) for r, v in column.items() if v}, {key: d}
+
+
+def _reduce(vector, combination, pivots):
+    """Clear the vector at each pivot's row, in pivot order, and apply the
+    same steps to its combination, in integers.  Both are changed in place."""
+    scaled = False
+    for row, column, relation in pivots:
+        f = vector.get(row)
+        if not f:
+            continue
+        p = column[row]
+        if p == 1 or p == -1:
+            m, f = 1, f * p
+        else:
+            g = gcd(p, f)
+            m, f = p // g, f // g
+            scaled = scaled or m not in (1, -1)
+        _combine(vector, m, f, column)
+        _combine(combination, m, f, relation)
+    if scaled:
+        g = gcd(*vector.values(), *combination.values())
+        if g != 1:
+            for x in (vector, combination):
+                for k in x:
+                    x[k] //= g
+    return vector, combination
+
+
+def _combine(x, m, f, y):
+    """x = m * x - f * y in place, dropping the entries that cancel."""
+    if m != 1:
+        for k in x:
+            x[k] *= m
+    for k, v in y.items():
+        s = x.get(k, 0) - f * v
+        if s:
+            x[k] = s
+        else:
+            del x[k]
+
+
+def _ratio(n, d):
+    """n / d, an int when d divides n."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 def _rref(rows, ncols):
     """Reduced echelon form {pivot column: row scaled to 1 there} of sparse
-    rows, consuming them: each row is reduced at its lowest nonzero column
-    against the pivots found so far, then back-substitution clears the pivot
-    columns.  None when a row reduces to entries at columns >= ncols only (a
-    right-hand side kept there that cannot be met)."""
+    rows: the columns go into one `Echelon` in column order, and a dependent
+    column's relation to the pivot columns before it gives its entries in
+    their rows.  None when a column >= ncols is a pivot (a right-hand side
+    kept there that cannot be met)."""
+    columns = {}
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if v:
+                columns.setdefault(j, {})[i] = v
+    echelon = Echelon()
     pivots = {}
-    for row in rows:
-        while row:
-            c = min(row)
-            if c in pivots:
-                _eliminate(row, c, pivots[c])
-                continue
-            if c >= ncols:
+    for j in sorted(columns):
+        relation = echelon.add(j, columns[j])
+        if relation is None:
+            if j >= ncols:
                 return None
-            inv = Fraction(1) / row[c]
-            if inv.denominator == 1:  # a pivot of 1 or -1 keeps integral rows integral
-                inv = inv.numerator
-            pivots[c] = {j: v * inv for j, v in row.items()}
-            break
-    for c in sorted(pivots, reverse=True):
-        for row in pivots.values():
-            if c in row and row is not pivots[c]:
-                _eliminate(row, c, pivots[c])
+            pivots[j] = {j: 1}
+            continue
+        t = relation.pop(j)
+        for c, v in relation.items():
+            pivots[c][j] = _ratio(-v, t)
     return pivots
 
 
-def _eliminate(row, c, pivot):
-    """row -= row[c] * pivot, dropping the entries that cancel."""
-    f = row[c]
-    for j, v in pivot.items():
-        x = row.get(j, 0) - f * v
-        if x:
-            row[j] = x
-        else:
-            del row[j]
-
-
 def nullspace(rows, ncols):
-    """Basis of the solution space of rows * x = 0, for dense rows."""
-    pivots = _rref([{j: v for j, v in enumerate(row) if v} for row in rows], ncols)
-    return [[-pivots[c].get(free, Fraction(0)) if c in pivots else Fraction(c == free)
+    """Basis of the solution space of rows * x = 0, for dense rows, as
+    Fractions."""
+    pivots = _rref([dict(enumerate(row)) for row in rows], ncols)
+    return [[Fraction(-pivots[c].get(free, 0) if c in pivots else c == free)
              for c in range(ncols)] for free in range(ncols) if free not in pivots]
 
 
 def solve_affine(rows, ncols):
-    """Particular solution, free variables set to 0, of the sparse system
-    with its unknowns at columns < ncols and its right-hand side at column
-    ncols; None when the system is inconsistent."""
-    pivots = _rref([{j: v for j, v in row.items() if v} for row in rows], ncols)
+    """Particular solution as Fractions, free variables set to 0, of the
+    sparse system with its unknowns at columns < ncols and its right-hand
+    side at column ncols; None when the system is inconsistent."""
+    pivots = _rref(list(rows), ncols)
     if pivots is None:
         return None
-    return [pivots[c].get(ncols, Fraction(0)) if c in pivots else Fraction(0)
-            for c in range(ncols)]
+    return [Fraction(pivots[c].get(ncols, 0) if c in pivots else 0) for c in range(ncols)]
 
 
 def matrix_inverse(rows):
-    """Inverse of a square dense rational matrix, or None when singular."""
+    """Inverse of a square dense rational matrix as Fractions, or None when
+    singular."""
     n = len(rows)
-    pivots = _rref([{**{j: v for j, v in enumerate(row) if v}, n + i: Fraction(1)}
-                    for i, row in enumerate(rows)], n)
+    pivots = _rref([{**dict(enumerate(row)), n + i: 1} for i, row in enumerate(rows)], n)
     if pivots is None:
         return None
-    return [[pivots[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
+    return [[Fraction(pivots[i].get(n + j, 0)) for j in range(n)] for i in range(n)]

@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._linalg import solve_affine
-from .algebra import Element
+from ._linalg import Echelon
 from .errors import (CapExceededError, CertificationError, DecompositionError,
                      ShapeError)
 from .maximal import (component_of_path, is_left_maximal, is_right_maximal,
@@ -146,10 +145,13 @@ def _block_unit(f, index, degree_cap):
     supported on the block's paths of x-degree at most d (how many times a
     path passes the cycle's closing arrow, `PathAlgebra.x_degree`), growing
     d up to degree_cap.  A nonzero path that starts on the cycle stays on
-    it, so this is the block's own system.  Conjugation fixes u only up to
-    a central unit, and the block's center k[z] has only the scalars as
-    units, so the solution at the least d is unique.  A solution that is
-    not a unit raises NotAUnitError: the input was not an automorphism.
+    it, so this is the block's own system.  The degrees are one solve by
+    `_solve_intertwiner`: degree d adds the paths of x-degree d as columns.
+    Conjugation fixes u only up to a central unit, and the block's center
+    k[z] has only the scalars as units, so the solution at the least d is
+    unique; no column is dependent, and the order the columns arrive in does
+    not change it.  A solution that is not a unit raises NotAUnitError: the
+    input was not an automorphism.
     """
     algebra = f.algebra
     cycle = algebra.infinite_cycles()[index]
@@ -165,16 +167,12 @@ def _block_unit(f, index, degree_cap):
     if n == 1 and any(image != algebra.path_element(g) for g, image in images.items()):
         # a free loop: the block k[x] is commutative, so conjugation fixes it
         raise DecompositionError(f"block {index} is a polynomial ring but is moved")
-    memo, support = {}, []
-    for degree in range(degree_cap + 1):
-        # the prefix of length k of the walk from cycle[i] has x-degree (k + i) // n
-        support = sorted(support + [
-            algebra.walk_path(a, k) for i, a in enumerate(cycle)
-            for k in range(max(1, degree * n - i), (degree + 1) * n - i)])
-        u = _solve_intertwiner(images, support, memo)
-        if u is not None:
-            break
-    else:
+    # the prefix of length k of the walk from cycle[i] has x-degree (k + i) // n
+    supports = (sorted(algebra.walk_path(a, k) for i, a in enumerate(cycle)
+                       for k in range(max(1, degree * n - i), (degree + 1) * n - i))
+                for degree in range(degree_cap + 1))
+    u = _solve_intertwiner(images, supports)
+    if u is None:
         raise CapExceededError(
             f"intertwiner: no polynomial intertwiner up to degree {degree_cap}")
     unit = invert_unit(u)
@@ -184,45 +182,60 @@ def _block_unit(f, index, degree_cap):
     return unit
 
 
-def _solve_intertwiner(images, support, memo):
-    """u = 1 + sum of c_p * p over the support paths with
-    u * images[g] = g * u for every generator g in images, or None.
+def _solve_intertwiner(images, supports):
+    """u = 1 + sum of c_p * p over the paths of the first batches of
+    `supports` (an iterable of path lists, one per degree) with
+    u * images[g] = g * u for every generator g in images; None when no
+    batch gives one.
 
-    Deterministic: the echelon particular solution of the sparse system in
-    the c_p, in support order.  memo keeps w * images[g] - g * w per
-    generator g and support path w for the calls of one solve.  Raises
-    CapExceededError before solving when rows x unknowns exceeds
-    MAX_INTERTWINER_SIZE.
+    One growing solve.  The unknown c_w has the column w * images[g] - g * w
+    over the generators g, and the right-hand side is g - images[g]; neither
+    changes when the support grows.  Each batch adds its paths as columns, in
+    order, to one `Echelon`: each column is built once and reduced once, the
+    reduced right-hand side carries over, and the solve stops after the first
+    batch that leaves it zero.  A column that depends on the ones before it
+    keeps coefficient 0, so with free unknowns the answer follows insertion
+    order.  Raises CapExceededError before reducing a batch when the system
+    grown by it has more than MAX_INTERTWINER_SIZE rows x unknowns.
     """
     algebra = next(iter(images.values())).algebra
     concat = algebra.concat
-    n = len(support)
-    rows = {}    # per (generator, path): {unknown, or n for the right side: coefficient}
-    for k, (g, target) in enumerate(images.items()):
-        products = memo.setdefault(g, {})
-        # the constant part 1 * f(g) - g * 1 goes to the right
-        for p, c in (target - algebra.path_element(g)).terms.items():
-            rows.setdefault((k, p), {})[n] = -c
-        for i, w in enumerate(support):
-            if w not in products:
+    generators = list(enumerate(images.items()))
+    target = {(k, p): -c for k, (g, image) in generators
+              for p, c in (image - algebra.path_element(g)).terms.items()}
+    echelon = Echelon(target)
+    rows, unknowns, longest = set(target), 0, 0
+    for batch in supports:
+        columns = []
+        for w in batch:
+            column = {}   # per (generator, path): coefficient
+            for k, (g, image) in generators:
                 # w * p differ for different p: paths cancel on the left
-                row = {concat(w, p): c for p, c in target.terms.items()}
+                for p, c in image.terms.items():
+                    wp = concat(w, p)
+                    if wp is not None:
+                        column[(k, wp)] = c
                 gw = concat(g, w)
-                row[gw] = row.get(gw, 0) - 1
-                row.pop(None, None)
-                products[w] = Element._trusted(algebra, row).terms
-            for p, c in products[w].items():
-                rows.setdefault((k, p), {})[i] = c
-    size = len(rows) * n
-    if size > MAX_INTERTWINER_SIZE:
-        raise CapExceededError(
-            f"intertwiner: the system for support paths up to degree "
-            f"{max(p.length for p in support)} has {size} entries "
-            f"(rows x unknowns), above the cap of {MAX_INTERTWINER_SIZE}")
-    sol = solve_affine(list(rows.values()), n)
-    if sol is None:
-        return None
-    return algebra.one() + algebra.element(dict(zip(support, sol)))
+                if gw is not None:
+                    c = column.pop((k, gw), 0) - 1
+                    if c:
+                        column[(k, gw)] = c
+            rows.update(column)
+            columns.append(column)
+        unknowns += len(batch)
+        longest = max([longest, *(w.length for w in batch)])
+        size = len(rows) * unknowns
+        if size > MAX_INTERTWINER_SIZE:
+            raise CapExceededError(
+                f"intertwiner: the system for support paths up to degree "
+                f"{longest} has {size} entries "
+                f"(rows x unknowns), above the cap of {MAX_INTERTWINER_SIZE}")
+        for w, column in zip(batch, columns):
+            echelon.add(w, column)
+        solution = echelon.solution()
+        if solution is not None:
+            return algebra.one() + algebra.element(solution)
+    return None
 
 
 # -- stage 3: the level tower over the radical ----------------------------------
@@ -342,7 +355,7 @@ def _solve_inner_match(rho):
     solved on 1 + the radical paths."""
     algebra = rho.algebra
     images = {g: rho.image_of_path(g) for g in algebra.generators()}
-    u = _solve_intertwiner(images, algebra.radical_paths(), {})
+    u = _solve_intertwiner(images, [algebra.radical_paths()])
     if u is None:
         return None
     unit = invert_unit(u)

@@ -23,8 +23,9 @@ class Poly:
 
     Stored as an integer coefficient vector over one shared positive
     denominator, normalized so their collective content is 1.  Sums and
-    products are integer work plus one gcd pass; division is plain long
-    division over the rational coefficients.  Canonical form: no trailing
+    products are integer work plus one gcd pass; `divmod` is plain long
+    division over the rational coefficients, `exact_div` pseudo-division in
+    integers.  Canonical form: no trailing
     zero coefficients; the zero polynomial has an empty vector and degree
     -1 (the distinguished marker).
     """
@@ -110,10 +111,33 @@ class Poly:
         return Poly(quo), Poly(rem[:len(b) - 1])
 
     def exact_div(self, other):
-        q, r = divmod(self, other)
-        if not r.is_zero:
+        """self / other, raising ArithmeticError on a nonzero remainder.
+
+        Pseudo-division in integers: with A and B the numerators and l the
+        leading coefficient of B, l^k * A = Q * B for k = deg A - deg B + 1,
+        and every step of that long division divides exactly by l.  So
+        self / other = Q * other.den / (self.den * l^k), and no Fraction is
+        built."""
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        b = other.nums
+        k = len(self.nums) - len(b) + 1
+        if k <= 0:
+            if self.nums:
+                raise ArithmeticError("division is not exact")
+            return Poly()
+        lead = b[-1]
+        scale = lead ** k
+        rem = [v * scale for v in self.nums]
+        quo = [0] * k
+        for i in range(k - 1, -1, -1):
+            c = quo[i] = rem[i + len(b) - 1] // lead
+            if c:
+                for j, y in enumerate(b):
+                    rem[i + j] -= c * y
+        if any(rem[:len(b) - 1]):
             raise ArithmeticError("division is not exact")
-        return q
+        return Poly._raw(self.den * scale, [q * other.den for q in quo])
 
     def drop_constant(self):
         """Zero the constant term (forces membership in x*Q[x])."""

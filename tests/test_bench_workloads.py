@@ -1,4 +1,5 @@
-"""The decompose benchmark's set-up still copies every kind of map.
+"""The decompose benchmark's set-up still copies every kind of map, and its
+block solves stay in integers.
 
 `bench/workloads.py::fresh_copy` rebuilds each input endomorphism and reads
 its `inverse` attribute, so a change to which maps carry an inverse must keep
@@ -9,8 +10,11 @@ and only read.
 import importlib.util
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+from stringalg._linalg import Echelon
+from stringalg.decompose import decompose_general
 from stringalg.morphisms import (Endomorphism, exponentiate, graded_part,
                                  invert_graded, make_derivation)
 
@@ -52,3 +56,31 @@ def test_fresh_copy_keeps_each_map_and_its_inverse():
             assert copy.inverse == f.inverse, name
     assert maps["identity"].inverse is not None and graded.inverse is not None
     assert all(maps[name].inverse is None for name in ("exponential", "inner", "composite"))
+
+
+def test_decompose_block_solves_build_no_fraction(monkeypatch):
+    # the workload's first 20 maps: every Fraction built while a function of
+    # stringalg._linalg is on the stack is recorded
+    ops = _workloads().build_decompose(11, None)[:20]
+    built, columns = [], []
+    new, add = Fraction.__new__, Echelon.add
+
+    def counting_columns(self, unknown, column):
+        columns.append(unknown)
+        return add(self, unknown, column)
+
+    def counting(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_globals.get("__name__") == "stringalg._linalg":
+                built.append(args)
+                break
+            frame = frame.f_back
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Echelon, "add", counting_columns)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for op in ops:
+        decompose_general(op.payload)
+    monkeypatch.undo()
+    assert built == [] and len(columns) > 100

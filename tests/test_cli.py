@@ -8,11 +8,12 @@ import time
 import pytest
 
 from stringalg import _smith, cli, decompose
+from stringalg._linalg import Echelon
 from stringalg.cli import run
 from stringalg.polymat import MAX_PARSE_DEGREE, Poly, PolyMatrix, _pairs, format_poly_matrix
 
 from conftest import (CYCLE_PENDANT, DOUBLED_THREE_CYCLE, FREE_LOOP, KRONECKER,
-                      LOOP_X70, ONE_LOOP, TWO_CYCLE_FREE, TWO_CYCLE_REL)
+                      LOOP_X70, ONE_LOOP, TWO_CYCLE_FREE, TWO_CYCLE_REL, make_algebra)
 from test_compose import wrong_unit_tower
 
 EXAMPLE_MATRIX = """6*x^3 - 4*x^2, -3*x + 2, 9*x^2 - 4
@@ -248,11 +249,39 @@ def test_decompose_intertwiner_above_the_size_cap(files, capsys, monkeypatch):
                             "cap of 3\n")
 
 
-def test_decompose_intertwiner_above_the_degree_cap(files, capsys):
-    # conjugation by 1 + 2*b.a.b needs support paths of x-degree 2
+# conjugation by 1 + 2*b.a.b on the free two-cycle: it needs support paths
+# of x-degree 2
+CONJUGATION_BAB = ("map e_1 = 1*e_1 - 2*b.a.b\nmap e_2 = 1*e_2 + 2*b.a.b\n"
+                   "map a = 1*a + 2*a.b.a.b - 2*b.a.b.a - 4*b.a.b.a.b.a.b\n")
+
+
+def test_decompose_intertwiner_above_the_size_cap_at_a_grown_degree(
+        files, capsys, monkeypatch):
+    # the system has 13 entries at x-degree 0, 165 at 1 and 414 at 2: the cap
+    # is checked on the grown system before any column of degree 2 is reduced
+    monkeypatch.setattr(decompose, "MAX_INTERTWINER_SIZE", 300)
+    reduced = []
+    add = Echelon.add
+
+    def recording(self, unknown, column):
+        reduced.append(unknown)
+        return add(self, unknown, column)
+
+    monkeypatch.setattr(Echelon, "add", recording)
     q = files("q.quiver", TWO_CYCLE_FREE)
-    m = files("f.map", "map e_1 = 1*e_1 - 2*b.a.b\nmap e_2 = 1*e_2 + 2*b.a.b\n"
-                       "map a = 1*a + 2*a.b.a.b - 2*b.a.b.a - 4*b.a.b.a.b.a.b\n")
+    assert run(["decompose", q, files("f.map", CONJUGATION_BAB)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: intertwiner: the system for support paths up to "
+                            "degree 5 has 414 entries (rows x unknowns), above the "
+                            "cap of 300\n")
+    algebra = make_algebra(TWO_CYCLE_FREE)
+    assert sorted(algebra.x_degree(p) for p in reduced) == [0, 1, 1, 1, 1]
+
+
+def test_decompose_intertwiner_above_the_degree_cap(files, capsys):
+    q = files("q.quiver", TWO_CYCLE_FREE)
+    m = files("f.map", CONJUGATION_BAB)
     assert run(["--cap-degree", "1", "decompose", q, m]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -8,8 +8,9 @@ from stringalg import decompose
 from stringalg.decompose import (ENDPOINT_PRESERVING, EXP_MAXIMAL, GRADED,
                                  INNER, decompose_general, decompose_string,
                                  outer_class, peel_maximal,
-                                 solve_conjugation_unique_max, _solve_inner_match,
-                                 _solve_intertwiner)
+                                 solve_conjugation_unique_max, _solve_inner_match)
+from stringalg import PathAlgebra
+from stringalg._linalg import Echelon
 from stringalg.errors import (CapExceededError, CertificationError,
                               DecompositionError, ShapeError)
 from stringalg.maximal import parallel_maximal
@@ -22,6 +23,8 @@ from factories import (derivation_targets, elementary_unit_paths,
                        random_graded_identity_automorphism, random_graded_symmetric,
                        random_inner)
 from test_compose import _criterion_5_items
+from test_random_presentations import random_presentation
+import reference
 
 
 def certified(algebra, text):
@@ -162,29 +165,101 @@ def test_solver_on_random_inners():
             assert inner_automorphism(unit) == f, name
 
 
-def test_solver_memo_matches_fresh_solves():
-    # the memo shared by the degrees of one solve changes no degree's answer
-    # and leaves nothing on the map
+def recorded_columns(monkeypatch):
+    """Record every column added to an echelon as (unknown, its relation to
+    the columns before it, None when it became a pivot)."""
+    added = []
+    add = Echelon.add
+
+    def recording(self, unknown, column):
+        relation = add(self, unknown, column)
+        added.append((unknown, relation))
+        return relation
+
+    monkeypatch.setattr(Echelon, "add", recording)
+    return added
+
+
+def recorded_solves(monkeypatch):
+    """Record every intertwiner solve as (images, the support batches it
+    drew, its unit or None, the columns it added, whether a block made it:
+    a block passes its degrees lazily, the radical-path solve one list)."""
+    calls = []
+    added = recorded_columns(monkeypatch)
+    solve = decompose._solve_intertwiner
+
+    def recording(images, supports):
+        drawn, start = [], len(added)
+
+        def drawing():
+            for batch in supports:
+                drawn.append(list(batch))
+                yield batch
+
+        u = solve(images, drawing())
+        calls.append((images, drawn, u, added[start:], not isinstance(supports, list)))
+        return u
+
+    monkeypatch.setattr(decompose, "_solve_intertwiner", recording)
+    return calls
+
+
+def maps_on_cycles():
+    """Graded-identity automorphisms with blocks to solve: three on each of
+    the fixtures and then seeded random presentations with an infinite
+    maximal path, 30 algebras in all, and the first 30 criterion-5 mixed
+    items."""
     rng = random.Random(17)
-    for name in ("two_cycle_free", "three_cycle_free", "two_loops"):
-        algebra = make_algebra(SOURCES[name])
-        paths = elementary_unit_paths(algebra)
-        cycle = algebra.infinite_cycles()[0]
-        for _ in range(4):
-            f = random_inner(rng, algebra, paths)
-            before = dict(vars(f))
-            unit = solve_conjugation_unique_max(f)
-            assert vars(f) == before and all(vars(f)[k] is v for k, v in before.items())
-            images = {g: f.apply(algebra.path_element(g)) for g in algebra.generators()}
-            memo = {}
-            for degree in range(33):
-                support = [p for p in algebra.enumerate_basis((degree + 1) * len(cycle))
-                           if not p.is_stationary and p.arrows.count(cycle[-1]) <= degree]
-                fresh = _solve_intertwiner(images, support, {})
-                assert _solve_intertwiner(images, support, memo) == fresh, (name, degree)
-                if fresh is not None:
-                    assert invert_unit(fresh).value == unit.value, name
-                    break
+    algebras = [make_algebra(source) for source in SOURCES.values()]
+    algebras += [PathAlgebra(random_presentation(rng)) for _ in range(100)]
+    algebras = [a for a in algebras if a.infinite_cycles() and not a.is_polynomial_ring]
+    for algebra in algebras[:30]:
+        targets, paths = derivation_targets(algebra), elementary_unit_paths(algebra)
+        for _ in range(3):
+            yield random_graded_identity_automorphism(rng, algebra, targets=targets,
+                                                      paths=paths)
+    yield from _criterion_5_items(30)
+
+
+def test_growing_solve_matches_the_reference(monkeypatch):
+    # one growing echelon gives the from-scratch solve's unit at the same least
+    # degree, reducing each support column once; a block's columns are
+    # never dependent
+    calls = recorded_solves(monkeypatch)
+    for f in maps_on_cycles():
+        before = len(calls)
+        assert decompose_general(f).compose() == f
+        for images, drawn, u, columns, block in calls[before:]:
+            algebra = next(iter(images.values())).algebra
+            for degree, batch in enumerate(drawn):
+                assert batch == sorted(batch)
+                assert {algebra.x_degree(p) for p in batch} <= {degree}
+            assert reference.least_degree_unit(images, drawn) == \
+                ((None, None) if u is None else (u, len(drawn) - 1))
+            assert [w for w, _ in columns] == [w for batch in drawn for w in batch]
+            assert not block or all(relation is None for _, relation in columns)
+    blocks = [len(drawn) for _, drawn, _, _, block in calls if block]
+    assert len(blocks) > 100 and max(blocks) >= 5 and len(calls) > len(blocks)
+
+
+def test_dependent_column_keeps_coefficient_zero(monkeypatch):
+    # conjugation by a unit of a finite-dimensional algebra, solved on its
+    # radical paths: central radical paths have dependent columns
+    added = recorded_columns(monkeypatch)
+    algebra = make_algebra(SOURCES["two_cycle_rel"])
+    unit = invert_unit(algebra.one() + 2 * algebra.arrow("a") - algebra.arrow("b"))
+    images = {g: inner_automorphism(unit).image_of_path(g) for g in algebra.generators()}
+    support = algebra.radical_paths()
+    u = decompose._solve_intertwiner(images, [support])
+    assert inner_automorphism(invert_unit(u)) == inner_automorphism(unit)
+    dependent = [w for w, relation in added if relation is not None]
+    assert dependent and len(added) == len(support)
+    assert all(w not in u.terms for w in dependent)
+    # the same support in reverse order solves with other free unknowns
+    added.clear()
+    v = decompose._solve_intertwiner(images, [support[::-1]])
+    assert inner_automorphism(invert_unit(v)) == inner_automorphism(unit)
+    assert all(w not in v.terms for w, relation in added if relation is not None)
 
 
 def test_solver_rejects_polynomial_ring(poly_ring):

@@ -1,12 +1,13 @@
 """Exact sparse elimination: against the dense Gauss-Jordan elimination it
-replaced, and against sympy where it is installed."""
+replaced, and against sympy where it is installed; in integers on integral
+input."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from stringalg._linalg import matrix_inverse, nullspace, solve_affine
+from stringalg._linalg import Echelon, _rref, matrix_inverse, nullspace, solve_affine
 from stringalg.errors import NotInvertibleError
 from stringalg.polymat import Poly, PolyMatrix, modified_smith, poly_matrix_inverse
 
@@ -198,6 +199,71 @@ def test_matrix_inverse_matches_dense_reference():
     assert matrix_inverse([[1, 2], [2, 4]]) is None
     assert matrix_inverse([[0, 0], [0, 1]]) is None
     assert matrix_inverse([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
+
+
+# -- in integers ---------------------------------------------------------------------
+
+
+def counting_fractions(monkeypatch):
+    """Record the arguments of every Fraction built from now on."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return built
+
+
+# columns with no pivot of 1 or -1, and the integral solution x = (1, -2, 3)
+INTEGRAL_COLUMNS = [{0: 2, 1: 4}, {1: -3, 2: 6}, {0: 4, 1: 2, 2: 3}]
+INTEGRAL_TARGET = {0: 14, 1: 16, 2: -3}
+
+
+def test_integral_elimination_builds_no_fraction(monkeypatch):
+    built = counting_fractions(monkeypatch)
+    echelon = Echelon(INTEGRAL_TARGET)
+    solutions = []
+    for j, column in enumerate(INTEGRAL_COLUMNS):
+        assert echelon.add(j, column) is None
+        solutions.append(echelon.solution())
+    pivots = [column[row] for row, column, _ in echelon.pivots]
+    rows = [{j: column[i] for j, column in enumerate(INTEGRAL_COLUMNS) if i in column}
+            for i in range(3)]
+    rref = _rref([{**row, 3: INTEGRAL_TARGET[i]} for i, row in enumerate(rows)], 3)
+    monkeypatch.undo()
+    assert built == []
+    assert pivots[:2] == [2, -3]
+    # the right-hand side is met only once the last column is in
+    assert solutions == [None, None, {0: 1, 1: -2, 2: 3}]
+    assert rref == {0: {0: 1, 3: 1}, 1: {1: 1, 3: -2}, 2: {2: 1, 3: 3}}
+    assert all(type(v) is int for x in (solutions[-1], *rref.values()) for v in x.values())
+
+
+def test_echelon_fractions_only_in_values_that_are_not_integers(monkeypatch):
+    built = counting_fractions(monkeypatch)
+    echelon = Echelon({0: 1, 1: 3})
+    echelon.add("x", {0: 2})
+    echelon.add("y", {0: 2, 1: 4})
+    solution = echelon.solution()
+    monkeypatch.undo()
+    assert solution == {"x": Fraction(-1, 4), "y": Fraction(3, 4)}
+    assert len(built) == 2
+
+
+def test_dependent_column_keeps_coefficient_zero():
+    # y = 2x: whichever of the two comes second is dependent and gets
+    # coefficient 0, so with free unknowns the solution follows insertion order
+    columns = {"x": {0: 1, 1: 1}, "y": {0: 2, 1: 2}, "z": {1: 1}}
+    for order, relation, expected in (
+            ("xyz", {"y": 1, "x": -2}, {"x": 3, "z": 2}),
+            ("yxz", {"x": 2, "y": -1}, {"y": Fraction(3, 2), "z": 2})):
+        echelon = Echelon({0: 3, 1: 5})
+        relations = [echelon.add(u, columns[u]) for u in order]
+        assert relations == [None, relation, None]
+        assert echelon.solution() == expected
 
 
 # -- against sympy ----------------------------------------------------------------------

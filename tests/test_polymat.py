@@ -102,6 +102,45 @@ def test_poly_products_and_division_match_the_schoolbook_reference():
     assert sides == {False, True}
 
 
+def test_exact_div_by_pseudo_division_in_integers(monkeypatch):
+    """exact_div gives the Fraction reference's quotient where the remainder
+    is zero and raises where it is not, building no Fraction; divisors
+    include negative and non-unit leading coefficients."""
+    rng = random.Random(37)
+    cases = []
+    for la, lb, bits in [(1, 1, 4), (3, 2, 8), (6, 4, 30), (9, 9, 60), (4, 7, 10)]:
+        for _ in range(8):
+            a, b = _random_poly(rng, la, bits), _random_poly(rng, lb, bits)
+            ab = _ref_mul(a, b)
+            cases.append((Poly(ab), Poly(b), tuple(a)))
+            if len(b) > 1:   # one more constant term leaves a remainder
+                cases.append((Poly([ab[0] + 1] + ab[1:]), Poly(b), None))
+    cases += [(Poly(), Poly((3, -2)), ()), (Poly.const(5), Poly((0, 1)), None),
+              (Poly((6, -4)), Poly.const(Fraction(-2, 3)), (-9, 6))]
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    results = []
+    for x, y, _ in cases:
+        try:
+            results.append(x.exact_div(y))
+        except ArithmeticError:
+            results.append(None)
+    monkeypatch.undo()
+    assert built == []
+    for (x, y, expected), got in zip(cases, results):
+        assert (None if got is None else got.coeffs) == expected
+        assert (got is None) == (not divmod(x, y)[1].is_zero)
+    assert sum(got is None for got in results) >= 20
+    with pytest.raises(ZeroDivisionError):
+        Poly.const(1).exact_div(Poly())
+
+
 def test_poly_parse_variants():
     assert parse_poly("6x^3") == Poly.x(3, 6)
     assert parse_poly("-x + 1") == Poly((1, -1))
