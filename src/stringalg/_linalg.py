@@ -1,27 +1,25 @@
 """Exact sparse elimination by columns, in integers.
 
-A system grows one column (unknown) at a time.  `Echelon.add` reduces the
-new column against the pivot columns found so far, in the order they were
-found, and keeps it as a new pivot when an entry is left.  Each pivot
-carries the combination of the original columns that it is, so a dependent
-column comes back as its relation to the columns before it.  A right-hand
-side is reduced once against each new pivot, so it carries over as the
-columns grow.  Columns are dicts {row: value} of their nonzero entries, and
-elimination touches only those.
+`Echelon` takes a system one column (unknown) at a time.  Each new column is
+reduced against the pivot columns found so far, in the order they were
+found, and kept as a new pivot when an entry is left.  A pivot carries the
+combination of original columns that it is, so a dependent column comes
+back as its relation to the columns before it.  A right-hand side is
+reduced once against each new pivot, so it carries over as columns are
+added.  Columns are dicts {row: value} of their nonzero entries.
 
-The elimination is fraction-free.  A rational column is first scaled to
-integers by the common denominator of its entries.  A pivot p that does not
-divide the entry f it clears scales the column by p / gcd(p, f) instead of
-dividing, and the column and its combination are then divided by their
-common content.  So no `Fraction` is built on integral input: Fractions
-appear only in a returned value that is not an integer.
+The elimination is fraction-free.  A rational column is scaled to integers
+by its common denominator.  A pivot p that does not divide the entry f it
+clears scales the column by p / gcd(p, f) instead of dividing, and the
+column and its combination are then divided by their common content.  So
+no `Fraction` is built on integral input: Fractions appear only in a
+returned value that is not an integer.
 
-An unknown whose column depends on the columns before it keeps coefficient
-0, so with free unknowns the solution follows insertion order.  Added in
-column order, this is the reduced echelon form's particular solution, and
-that form is unique, so results can be pinned in goldens.  `_rref` is the
-batch use of the same elimination, and `nullspace`, `solve_affine` and
-`matrix_inverse` go through it.
+An unknown whose column depends on the ones before it keeps coefficient 0,
+so with free unknowns the solution follows insertion order.  `_rref`, the
+batch use that `nullspace`, `solve_affine` and `matrix_inverse` go through,
+adds columns in column order; its reduced echelon form is unique, so
+results can be pinned in goldens.
 """
 
 from __future__ import annotations
