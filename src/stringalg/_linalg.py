@@ -17,9 +17,9 @@ returned value that is not an integer.
 
 An unknown whose column depends on the ones before it keeps coefficient 0,
 so with free unknowns the solution follows insertion order.  `_rref`, the
-batch use that `nullspace`, `solve_affine` and `matrix_inverse` go through,
-adds columns in column order; its reduced echelon form is unique, so
-results can be pinned in goldens.
+batch use that `nullspace` and `matrix_inverse` go through, adds columns in
+column order; its reduced echelon form is unique, so results can be pinned
+in goldens.
 """
 
 from __future__ import annotations
@@ -148,16 +148,6 @@ def nullspace(rows, ncols):
     pivots = _rref([dict(enumerate(row)) for row in rows], ncols)
     return [[Fraction(-pivots[c].get(free, 0) if c in pivots else c == free)
              for c in range(ncols)] for free in range(ncols) if free not in pivots]
-
-
-def solve_affine(rows, ncols):
-    """Particular solution as Fractions, free variables set to 0, of the
-    sparse system with its unknowns at columns < ncols and its right-hand
-    side at column ncols; None when the system is inconsistent."""
-    pivots = _rref(list(rows), ncols)
-    if pivots is None:
-        return None
-    return [Fraction(pivots[c].get(ncols, 0) if c in pivots else 0) for c in range(ncols)]
 
 
 def matrix_inverse(rows):

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .algebra import PathAlgebra, format_element
-from .decompose import DEGREE_CAP, decompose_general, outer_class
+from .decompose import decompose_general, outer_class
 from .errors import (CapExceededError, CertificationError, DecompositionError,
                      DerivationError, NotAUnitError, StringAlgError)
 from .maximal import classify_maximal, degree_zero_center_dimension
@@ -35,7 +35,7 @@ _INVALID = (StringAlgError, OSError, UnicodeDecodeError)
 
 
 def _positive(text):
-    """argparse type of the caps: a positive integer."""
+    """argparse type of --max-len: a positive integer."""
     try:
         value = int(text)
     except ValueError:
@@ -57,8 +57,6 @@ def _build_parser():
     parser = _Parser(prog="stringalg", description=__doc__)
     parser.add_argument("--max-len", type=_positive, default=MAX_PATH_LENGTH,
                         help="length of the longest paths that basis lists")
-    parser.add_argument("--cap-degree", type=_positive, default=DEGREE_CAP,
-                        help="degree cap for the conjugation solver")
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON mirror of the text report")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -179,7 +177,7 @@ def _cmd_inner(args):
 def _cmd_decompose(args):
     algebra = _algebra(args)
     f = verify_endomorphism(parse_endomorphism(algebra, _read(args.map_file)))
-    decomposition = decompose_general(f, degree_cap=args.cap_degree)
+    decomposition = decompose_general(f)
     lines = []
     data = {"factors": [], "verified": True}
     for i, factor in enumerate(decomposition.factors, start=1):

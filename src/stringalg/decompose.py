@@ -7,7 +7,8 @@ The pipeline peels factors off the input one degree level at a time:
 1. a "maximal" exponential factor moving arrows by parallel maximal paths,
 2. one inner factor per infinite maximal path, its unit u solved in the
    input's algebra from u * f(g) = g * u over the generators g of that
-   block, with each f(g) cut to the block's paths,
+   block, with each f(g) cut to the block's paths, on the paths of
+   x-degree at most E, the top x-degree of a moved term in those images,
 3. an inner vertex correction followed by a level-by-level tower over the
    radical, yielding a maximal-type exponential, an endpoint-preserving
    factor kept with its word of cycle-type exponentials, and an inner unit.
@@ -40,8 +41,6 @@ GRADED = "graded"
 
 # largest intertwiner system, in rows x unknowns, built before giving up
 MAX_INTERTWINER_SIZE = 10_000_000
-# default largest x-degree of a block's conjugating unit (the CLI's --cap-degree)
-DEGREE_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ def peel_maximal(f):
 # -- stage 2: conjugation solve on an infinite-maximal-path block ----------------
 
 
-def solve_conjugation_unique_max(f, degree_cap=DEGREE_CAP):
+def solve_conjugation_unique_max(f):
     """Conjugating unit for a graded-identity automorphism of a locally
     gentle algebra with a unique infinite maximal path: the algebra is one
     block, solved by `_block_unit`."""
@@ -133,10 +132,10 @@ def solve_conjugation_unique_max(f, degree_cap=DEGREE_CAP):
         raise ShapeError("algebra must have exactly one maximal path, infinite")
     if not f.certified or not membership(f).graded_identity:
         raise CertificationError("solver requires a certified graded-identity input")
-    return _block_unit(f, 0, degree_cap)
+    return _block_unit(f, 0)
 
 
-def _block_unit(f, index, degree_cap):
+def _block_unit(f, index):
     """Conjugating unit of the part of a certified graded-identity f on the
     block of infinite maximal path `index`.
 
@@ -144,37 +143,50 @@ def _block_unit(f, index, degree_cap):
     arrows g, with f(g) cut to the block's paths, for u congruent to 1
     supported on the block's paths of x-degree at most d (how many times a
     path passes the cycle's closing arrow, `PathAlgebra.x_degree`), growing
-    d up to degree_cap.  A nonzero path that starts on the cycle stays on
-    it, so this is the block's own system.  The degrees are one solve by
-    `_solve_intertwiner`: degree d adds the paths of x-degree d as columns.
-    Conjugation fixes u only up to a central unit, and the block's center
-    k[z] has only the scalars as units, so the solution at the least d is
-    unique; no column is dependent, and the order the columns arrive in does
-    not change it.  A solution that is not a unit raises NotAUnitError: the
-    input was not an automorphism.
+    d from 0 to E, the largest x-degree of a moved term in the cut images.
+    A nonzero path that starts on the cycle stays on it, so this is the
+    block's own system.  The degrees are one solve by `_solve_intertwiner`:
+    degree d adds the paths of x-degree d as columns.  Conjugation fixes u
+    only up to a central unit, and the block's center k[z] has only the
+    scalars as units, so the solution at the least d is unique.
+
+    A unit has x-degree D <= E.  Number the cycle arrows c_0..c_{n-1} by
+    position and send the path of length k from position i to
+    x^((i + k) // n) * E_{i, (i + k) mod n}: this embeds the block in
+    M_n(k[x]), x-degree becoming matrix degree.  If f(c_i) = U^-1 * C_i * U
+    with C_i = E_{i, i+1} (x * E_{n-1, 0} for the closing arrow), f(c_i) is
+    the outer product of column i of U^-1, nonzero, and row i + 1 of U
+    (times x), so its degree is the sum of theirs: k[x] has no zero
+    divisors.  Row i + 1 of U has degree at most that of f(c_i), at most E
+    (E - 1 on the closing arrow), and every row of U is a row i + 1.  So no
+    unit up to E means no unit at all, and DecompositionError names the
+    block, E and the generator that carries the top term.  A solution that
+    is not a unit raises NotAUnitError: the input was not an automorphism.
     """
     algebra = f.algebra
     cycle = algebra.infinite_cycles()[index]
     gens = [Path.stationary(v) for v in sorted({algebra.quiver.source(a) for a in cycle})]
     images = {}
+    bound, top = 0, None   # E, and the moved term of that x-degree with its generator
     for g in gens + [Path.of((a,)) for a in sorted(cycle)]:
         base = algebra.path_element(g)
-        moved = f.image_of_path(g) - base
-        images[g] = base + algebra.element(
-            {p: c for p, c in moved.terms.items()
-             if component_of_path(algebra, p) == index})
+        kept = {p: c for p, c in (f.image_of_path(g) - base).terms.items()
+                if component_of_path(algebra, p) == index}
+        for p in kept:
+            if top is None or algebra.x_degree(p) > bound:
+                bound, top = algebra.x_degree(p), (p, g)
+        images[g] = base + algebra.element(kept)
     n = len(cycle)
-    if n == 1 and any(image != algebra.path_element(g) for g, image in images.items()):
-        # a free loop: the block k[x] is commutative, so conjugation fixes it
-        raise DecompositionError(f"block {index} is a polynomial ring but is moved")
     # the prefix of length k of the walk from cycle[i] has x-degree (k + i) // n
     supports = (sorted(algebra.walk_path(a, k) for i, a in enumerate(cycle)
                        for k in range(max(1, degree * n - i), (degree + 1) * n - i))
-                for degree in range(degree_cap + 1))
+                for degree in range(bound + 1))
     u = _solve_intertwiner(images, supports)
     if u is None:
-        raise CapExceededError(
-            f"intertwiner: no polynomial intertwiner up to degree {degree_cap}")
+        raise DecompositionError(
+            f"intertwiner: no unit conjugates block {index} (a unit would have "
+            f"x-degree at most {bound}, the x-degree of {top[0]} in the image "
+            f"of {top[1]})")
     unit = invert_unit(u)
     if any(unit.inverse * algebra.path_element(g) * unit.value != image
            for g, image in images.items()):
@@ -184,7 +196,7 @@ def _block_unit(f, index, degree_cap):
 
 def _solve_intertwiner(images, supports):
     """u = 1 + sum of c_p * p over the paths of the first batches of
-    `supports` (an iterable of path lists, one per degree) with
+    `supports` (an iterable of path lists, batch d of x-degree d) with
     u * images[g] = g * u for every generator g in images; None when no
     batch gives one.
 
@@ -204,8 +216,8 @@ def _solve_intertwiner(images, supports):
     target = {(k, p): -c for k, (g, image) in generators
               for p, c in (image - algebra.path_element(g)).terms.items()}
     echelon = Echelon(target)
-    rows, unknowns, longest = set(target), 0, 0
-    for batch in supports:
+    rows, unknowns = set(target), 0
+    for degree, batch in enumerate(supports):
         columns = []
         for w in batch:
             column = {}   # per (generator, path): coefficient
@@ -223,12 +235,11 @@ def _solve_intertwiner(images, supports):
             rows.update(column)
             columns.append(column)
         unknowns += len(batch)
-        longest = max([longest, *(w.length for w in batch)])
         size = len(rows) * unknowns
         if size > MAX_INTERTWINER_SIZE:
             raise CapExceededError(
-                f"intertwiner: the system for support paths up to degree "
-                f"{longest} has {size} entries "
+                f"intertwiner: the system for support paths up to x-degree "
+                f"{degree} has {size} entries "
                 f"(rows x unknowns), above the cap of {MAX_INTERTWINER_SIZE}")
         for w, column in zip(batch, columns):
             echelon.add(w, column)
@@ -392,7 +403,7 @@ def _tower_factors(d, rho, word, u_value):
             Factor(INNER, inner_automorphism(unit), unit=unit))
 
 
-def decompose_general(f, degree_cap=DEGREE_CAP):
+def decompose_general(f):
     """Full decomposition of a certified automorphism of any valid
     (locally) string presentation other than the one-loop free algebra.
 
@@ -421,7 +432,7 @@ def decompose_general(f, degree_cap=DEGREE_CAP):
     one = algebra.one()
     u2_value = u2_inverse = one
     for index in range(len(algebra.infinite_cycles())):
-        unit_i = _block_unit(g1, index, degree_cap)
+        unit_i = _block_unit(g1, index)
         u2_value = u2_value + (unit_i.value - one)
         u2_inverse = u2_inverse + (unit_i.inverse - one)
     u2 = Unit(u2_value, u2_inverse)

@@ -225,7 +225,9 @@ def test_decompose_moved_free_loop_exit(files, capsys):
     assert run(["decompose", q, files("f.map", "map x = 1*x + 1*x.x\n")]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: block 0 is a polynomial ring but is moved\n"
+    assert captured.err == ("error: intertwiner: no unit conjugates block 0 (a unit "
+                            "would have x-degree at most 2, the x-degree of x.x in "
+                            "the image of x)\n")
 
 
 def test_decompose_wrong_inner_factor_is_certification_failure(files, capsys, monkeypatch):
@@ -245,7 +247,7 @@ def test_decompose_intertwiner_above_the_size_cap(files, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: intertwiner: the system for support paths up to "
-                            "degree 1 has 4 entries (rows x unknowns), above the "
+                            "x-degree 0 has 4 entries (rows x unknowns), above the "
                             "cap of 3\n")
 
 
@@ -273,21 +275,24 @@ def test_decompose_intertwiner_above_the_size_cap_at_a_grown_degree(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: intertwiner: the system for support paths up to "
-                            "degree 5 has 414 entries (rows x unknowns), above the "
+                            "x-degree 2 has 414 entries (rows x unknowns), above the "
                             "cap of 300\n")
     algebra = make_algebra(TWO_CYCLE_FREE)
     assert sorted(algebra.x_degree(p) for p in reduced) == [0, 1, 1, 1, 1]
 
 
-def test_decompose_intertwiner_above_the_degree_cap(files, capsys):
+def test_decompose_block_without_a_unit_up_to_its_bound(files, capsys):
+    # a -> a + a.b.a is certified but not onto (compare x -> x + x.x on k[x]):
+    # a unit would have x-degree at most 1, read off a.b.a, and none has
     q = files("q.quiver", TWO_CYCLE_FREE)
-    m = files("f.map", CONJUGATION_BAB)
-    assert run(["--cap-degree", "1", "decompose", q, m]) == 4
+    assert run(["decompose", q, files("f.map", "map a = 1*a + 1*a.b.a\n")]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: intertwiner: no polynomial intertwiner up to "
-                            "degree 1\n")
-    assert run(["--cap-degree", "2", "decompose", q, m]) == 0
+    assert captured.err == ("error: intertwiner: no unit conjugates block 0 (a unit "
+                            "would have x-degree at most 1, the x-degree of a.b.a in "
+                            "the image of a)\n")
+    # the top moved term b.a.b.a.b.a.b bounds this unit by 4; it has x-degree 2
+    assert run(["decompose", q, files("bab.map", CONJUGATION_BAB)]) == 0
 
 
 def test_smith(files, capsys):
@@ -300,7 +305,7 @@ def test_smith(files, capsys):
 
 
 @pytest.mark.parametrize("exponent", ["9" * 4301, "100000000"])
-def test_smith_exponent_above_the_degree_cap(files, capsys, exponent):
+def test_smith_exponent_above_the_parse_limit(files, capsys, exponent):
     m = files("m.mat", f"1, x\nx^{exponent}, 1\n")
     assert run(["smith", m]) == 4
     captured = capsys.readouterr()
@@ -414,7 +419,6 @@ def test_byte_stable_output(files, capsys):
 def test_nonpositive_cap_is_usage_error(files, capsys):
     q = files("q.quiver", KRONECKER)
     assert run(["--max-len", "0", "validate", q]) == 64
-    assert run(["--cap-degree", "-1", "validate", q]) == 64
 
 
 def _help_transcript(capsys):
@@ -447,9 +451,7 @@ def test_parser_reuse_leaks_no_state(files, capsys, monkeypatch):
     k = files("k.quiver", KRONECKER)
     loop = files("loop.quiver", ONE_LOOP)
     q = files("q.quiver", TWO_CYCLE_FREE)
-    # conjugation by 1 + 2*b.a.b: decomposes at the default degree cap, not at 1
-    m = files("f.map", "map e_1 = 1*e_1 - 2*b.a.b\nmap e_2 = 1*e_2 + 2*b.a.b\n"
-                       "map a = 1*a + 2*a.b.a.b - 2*b.a.b.a - 4*b.a.b.a.b.a.b\n")
+    m = files("f.map", CONJUGATION_BAB)
 
     def call(*argv):
         code = run(list(argv))
@@ -469,7 +471,7 @@ def test_parser_reuse_leaks_no_state(files, capsys, monkeypatch):
         assert call("--max-len", "4", "basis", loop)[1].split() == [
             "e_v", "x", "x.x", "x.x.x", "x.x.x.x"]
         assert call("basis", loop) == basis
-        assert call("--cap-degree", "1", "decompose", q, m)[0] == 4
+        assert call("--max-len", "100000", "basis", loop)[0] == 4
         assert call("decompose", q, m) == decomposed
         assert call("no-such-command")[0] == 64
         assert call()[0] == 64

@@ -65,7 +65,7 @@ def test_mutated_files_keep_the_exit_code_contract(workdir, quiver, map_, elemen
                        ("matrix", matrix)):
         paths[kind] = workdir / kind
         paths[kind].write_bytes(data)
-    options = ["--max-len", "12", "--cap-degree", "4"] + ["--json"] * as_json
+    options = ["--max-len", "12"] + ["--json"] * as_json
     for command, kinds in COMMANDS.items():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

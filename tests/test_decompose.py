@@ -11,8 +11,7 @@ from stringalg.decompose import (ENDPOINT_PRESERVING, EXP_MAXIMAL, GRADED,
                                  solve_conjugation_unique_max, _solve_inner_match)
 from stringalg import PathAlgebra
 from stringalg._linalg import Echelon
-from stringalg.errors import (CapExceededError, CertificationError,
-                              DecompositionError, ShapeError)
+from stringalg.errors import CertificationError, DecompositionError, ShapeError
 from stringalg.maximal import parallel_maximal
 from stringalg.morphisms import (CYCLE, MAXIMAL, Endomorphism, exponentiate,
                                  inner_automorphism, invert_unit, make_derivation,
@@ -21,7 +20,7 @@ from stringalg.morphisms import (CYCLE, MAXIMAL, Endomorphism, exponentiate,
 from conftest import FREE_LOOP, SOURCES, make_algebra
 from factories import (derivation_targets, elementary_unit_paths,
                        random_graded_identity_automorphism, random_graded_symmetric,
-                       random_inner)
+                       random_inner, random_unit_factors, unit_product)
 from test_compose import _criterion_5_items
 from test_random_presentations import random_presentation
 import reference
@@ -116,13 +115,20 @@ def test_string_factors_are_at_most_one_each(ex_string):
         assert dec.compose() == f
 
 
-def test_non_automorphism_exhausts_solver_cap(cycle_free):
+def test_non_automorphism_fails_at_the_block_bound(cycle_free, monkeypatch):
     # certified and graded-identity, but not surjective: moving one arrow of
-    # the free cycle by a returning path is conjugation by no unit, so the
-    # intertwiner search runs out of degrees (cap exhaustion, not proof)
+    # the free cycle by a returning path is conjugation by no unit.  A unit
+    # would have x-degree at most E = 1, read off a.b.a, so the block's
+    # solve draws the batches of x-degree 0 and 1 only
+    calls = recorded_solves(monkeypatch)
     f = certified(cycle_free, "map a = 1*a + 1*a.b.a")
-    with pytest.raises(CapExceededError):
-        decompose_general(f, degree_cap=6)
+    with pytest.raises(DecompositionError, match=(
+            r"^intertwiner: no unit conjugates block 0 \(a unit would have "
+            r"x-degree at most 1, the x-degree of a\.b\.a in the image of a\)$")):
+        decompose_general(f)
+    [(_, drawn, u, added, _)] = calls
+    assert u is None and len(drawn) == 2
+    assert {cycle_free.x_degree(w) for w, _ in added} == {0, 1}
 
 
 def test_moved_free_loop_block_is_rejected():
@@ -133,8 +139,9 @@ def test_moved_free_loop_block_is_rejected():
     for f in (Endomorphism.identity(algebra), certified(algebra, "map a = 1*a")):
         assert all(factor.is_trivial for factor in decompose_general(f).factors)
     f = certified(algebra, "map x = 1*x + 1*x.x")
-    with pytest.raises(DecompositionError,
-                       match="^block 0 is a polynomial ring but is moved$"):
+    with pytest.raises(DecompositionError, match=(
+            r"^intertwiner: no unit conjugates block 0 \(a unit would have "
+            r"x-degree at most 2, the x-degree of x\.x in the image of x\)$")):
         decompose_general(f)
 
 
@@ -163,6 +170,49 @@ def test_solver_on_random_inners():
             f = random_inner(rng, algebra, paths)
             unit = solve_conjugation_unique_max(f)
             assert inner_automorphism(unit) == f, name
+
+
+def cycle_source(n, doubled):
+    """The free n-cycle a_1 ... a_n, or the doubled one with b_i beside a_i
+    and the relations a_i b_(i+1) and b_i a_(i+1): two blocks."""
+    lines = [f"vertex {i}" for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        lines += [f"arrow {x}{i} : {i} -> {i % n + 1}" for x in "ab"[:1 + doubled]]
+    if doubled:
+        lines += [f"relation {x}{i} {y}{i % n + 1}" for i in range(1, n + 1)
+                  for x, y in ("ab", "ba")]
+    return "\n".join(lines) + "\n"
+
+
+def test_block_unit_degree_is_at_most_the_image_bound(monkeypatch):
+    # D <= E: the unit of a block has x-degree D at most the top x-degree E
+    # of a moved term in the block's cut images, and the solve adds no column
+    # past E.  two_loops has one vertex, whose image never moves: E must be
+    # read off the arrow images there
+    calls = recorded_solves(monkeypatch)
+    rng = random.Random(26)
+    sources = [cycle_source(n, doubled) for n in range(1, 6) for doubled in (False, True)]
+    reached = {}   # per source: the largest D seen
+    for source in sources + [SOURCES["two_loops"]]:
+        algebra = make_algebra(source)
+        paths = elementary_unit_paths(algebra)
+        for _ in range(6):
+            # a product of up to four units 1 + c*p with p*p = 0
+            value = unit_product(algebra, random_unit_factors(rng, paths, most=4))
+            f = inner_automorphism(invert_unit(value))
+            for index in range(len(algebra.infinite_cycles())):
+                calls.clear()
+                unit = decompose._block_unit(f, index)
+                [(images, drawn, u, added, _)] = calls
+                bound = max((algebra.x_degree(p) for g, image in images.items()
+                             for p in (image - algebra.path_element(g)).terms),
+                            default=0)
+                degree = max(algebra.x_degree(p) for p in unit.value.terms)
+                assert degree <= bound, (source, index)
+                assert len(drawn) <= bound + 1
+                assert all(algebra.x_degree(w) <= bound for w, _ in added)
+                reached[source] = max(reached.get(source, 0), degree)
+    assert reached[SOURCES["two_loops"]] >= 4
 
 
 def recorded_columns(monkeypatch):

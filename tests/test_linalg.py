@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from stringalg._linalg import Echelon, _rref, matrix_inverse, nullspace, solve_affine
+from stringalg._linalg import Echelon, _rref, matrix_inverse, nullspace
 from stringalg.errors import NotInvertibleError
 from stringalg.polymat import Poly, PolyMatrix, modified_smith, poly_matrix_inverse
 
@@ -64,6 +64,16 @@ def dense_solve_affine(rows, rhs):
     for r, c in enumerate(pivots):
         sol[c] = work[r][ncols]
     return sol
+
+
+def solve_affine(rows, ncols):
+    """Particular solution, free unknowns 0, of sparse rows with the
+    right-hand side at column ncols, read off `_rref`; None when it is
+    inconsistent."""
+    pivots = _rref(list(rows), ncols)
+    if pivots is None:
+        return None
+    return [Fraction(pivots[c].get(ncols, 0) if c in pivots else 0) for c in range(ncols)]
 
 
 def dense_matrix_inverse(rows):
