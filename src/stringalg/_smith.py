@@ -5,10 +5,11 @@ factors before they cancel, so the elimination runs over Z/p for the 512-bit
 primes p of a fixed table of 128, and the exact factors are rebuilt from the
 images by Chinese remaindering to the symmetric range and rational
 reconstruction over shared denominators.  A matrix that needs more primes
-than the table holds stops with CapExceededError.  The certificate evaluates
-the product of the factors at integer points and interpolates.  Polynomials
-here are lists of integers, constant term first; a rational polynomial is a
-pair (den, numerators).
+than the table holds stops with CapExceededError.  The certificate compares
+the values of the product of the factors with those of the matrix at as many
+integer points as decide equality exactly.  Polynomials here are lists of
+integers, constant term first; a rational polynomial is a pair (den,
+numerators).
 """
 
 import math
@@ -423,20 +424,21 @@ def int_dot(row, col):
     return acc
 
 
-# -- the product of the factors, from values at 0, 1, 2, ... ------------------------
+# -- the certificate: the product of the factors against M, by values --------------
 
 
-def product(u, d, sigma, v):
-    """U * D * P_sigma * V as (den, numerators), from U and V as matrices
-    and D as the list of its diagonal entries, each entry (den, numerators),
-    computed from values at integer points.
+def product_equals(u, d, sigma, v, m):
+    """Whether U * D * P_sigma * V equals M, from U, V and M as matrices and
+    D as the list of its diagonal entries, each entry (den, numerators).
 
-    Entry (i, j) is the sum over k of U[i][k] * D[k][k] * V[sigma(k)][j].
-    Over the least common denominator L of its terms it is an integer
-    polynomial of degree at most K, so its values at 0..K fix it.  Those
-    values are products of integers no larger than the factors'
-    coefficients, where multiplying out the polynomials would build the
-    large terms that cancel in the sum."""
+    Entry (i, j) of the product is the sum over k of
+    U[i][k] * D[k][k] * V[sigma(k)][j].  Over the least common denominator L
+    of its terms it is an integer polynomial of degree at most K, so it
+    equals M[i][j] exactly when L times each agree at 0, 1, ...,
+    max(K, deg M[i][j]): two polynomials of degree at most K' that agree at
+    K' + 1 points are equal.  The values are products of integers no larger
+    than the factors' coefficients, where multiplying out the polynomials
+    would build the large terms that cancel in the sum."""
     n = len(d)
     # column k of U and row sigma(k) of V, each over one denominator as
     # (den, [(multiplier, numerators)])
@@ -448,13 +450,13 @@ def product(u, d, sigma, v):
     for x in dens.values():
         den = den // math.gcd(den, x) * x
     scales = {k: den // x for k, x in dens.items()}
-    counts = [[1 + max((len(ucols[k][1][i][1]) + len(d[k][1]) + len(vrows[k][1][j][1]) - 3
-                        for k in ks if ucols[k][1][i][1] and vrows[k][1][j][1]), default=-1)
+    counts = [[max(len(m[i][j][1]),
+                   1 + max((len(ucols[k][1][i][1]) + len(d[k][1]) + len(vrows[k][1][j][1]) - 3
+                            for k in ks if ucols[k][1][i][1] and vrows[k][1][j][1]), default=-1))
                for j in range(n)] for i in range(n)]
 
-    entries = [[Differences() for _ in range(n)] for _ in range(n)]
     for t in range(max(max(row) for row in counts)):
-        # the values at t of the entries that still take values
+        # the values at t of the entries still compared
         sums = [[0] * n for _ in range(n)]
         live_i = [i for i in range(n) if any(t < c for c in counts[i])]
         live_j = [j for j in range(n) if any(t < counts[i][j] for i in range(n))]
@@ -469,9 +471,9 @@ def product(u, d, sigma, v):
                             sums[i][j] += a * b
         for i, row in enumerate(sums):
             for j, value in enumerate(row):
-                if t < counts[i][j]:
-                    entries[i][j].push(value)
-    return den, [[e.coefficients() for e in row] for row in entries]
+                if t < counts[i][j] and value * m[i][j][0] != den * horner(m[i][j][1], t):
+                    return False
+    return True
 
 
 def over_common(polys):
@@ -482,54 +484,6 @@ def over_common(polys):
         if nums:
             den = den // math.gcd(den, d) * d
     return den, [(den // d, nums) for d, nums in polys]
-
-
-class Differences:
-    """The integer polynomial through values pushed at 0, 1, 2, ...
-
-    Keeps the forward differences at 0, one per order, and the backward
-    differences at the latest point up to the last nonzero one.  Those of
-    orders above the degree d vanish, so a polynomial of degree d costs
-    d + 1 large numbers and d + 1 subtractions per value, however many
-    values it is given."""
-
-    __slots__ = ("diffs", "leading")
-
-    def __init__(self):
-        self.diffs = []     # backward differences at the latest point
-        self.leading = []   # forward differences at 0
-
-    def push(self, value):
-        new = [value]
-        for old in self.diffs:
-            new.append(new[-1] - old)
-        # the orders past those kept were 0 at the previous point, so here
-        # they all equal the last one computed
-        if new[-1]:
-            new += [new[-1]] * (len(self.leading) - len(self.diffs))
-        self.leading.append(new[-1])
-        while new and not new[-1]:
-            new.pop()
-        self.diffs = new
-
-    def coefficients(self):
-        """Coefficients of sum_j leading[j] * t(t-1)...(t-j+1) / j!, where
-        j! divides leading[j] because the polynomial has integer
-        coefficients."""
-        diffs = list(self.leading)
-        while diffs and not diffs[-1]:
-            diffs.pop()
-        coeffs = [0] * len(diffs)
-        falling = [1]
-        fact = 1
-        for j, delta in enumerate(diffs):
-            if j:
-                fact *= j
-                falling = [a - (j - 1) * b for a, b in zip([0] + falling, falling + [0])]
-            b = delta // fact
-            for i, c in enumerate(falling):
-                coeffs[i] += b * c
-        return coeffs
 
 
 def horner(nums, t):

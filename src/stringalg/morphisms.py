@@ -244,15 +244,12 @@ class Derivation:
         self.arrow_images = {a: img for a, img in arrow_images.items()
                              if not img.is_zero}
         self.type_tags = frozenset(type_tags)
-        self._path_cache = {}
 
     @property
     def is_zero(self):
         return not self.arrow_images
 
     def apply_path(self, path):
-        if path in self._path_cache:
-            return self._path_cache[path]
         algebra = self.algebra
         out = algebra.zero()
         arrows = path.arrows    # none for a stationary path, whose image is zero
@@ -266,7 +263,6 @@ class Derivation:
             if i + 1 < len(arrows):
                 piece = piece * algebra.path_element(arrows[i + 1:])
             out = out + piece
-        self._path_cache[path] = out
         return out
 
     def apply(self, x):

@@ -339,25 +339,31 @@ class SmithFactorization:
     V: PolyMatrix
 
     def product(self):
-        """U * D * P_sigma * V, computed exactly once by _smith.product and
-        kept (verify keeps the matrix it was checked equal to instead)."""
+        """U * D * P_sigma * V: the matrix verify accepted, or else the plain
+        product in PolyMatrix arithmetic, the reference the certificate
+        stands in for."""
         product = self.__dict__.get("_product")
         if product is None:
-            diag = [(self.D.rows[k][k].den, self.D.rows[k][k].nums) for k in range(self.D.n)]
-            den, coeffs = _smith.product(_pairs(self.U.rows), diag, self.sigma,
-                                         _pairs(self.V.rows))
-            product = PolyMatrix([[Poly._raw(den, c) for c in row] for row in coeffs])
-            object.__setattr__(self, "_product", product)
+            n = self.D.n
+            perm = PolyMatrix([[int(self.sigma[i] == j) for j in range(n)] for i in range(n)])
+            product = self.U * self.D * perm * self.V
         return product
 
     def verify(self, m):
+        """Whether this factors m, decided exactly: the structural checks,
+        then the values of U * D * P_sigma * V against those of m at as many
+        integer points as fix both (_smith.product_equals).  On success m is
+        kept as the product."""
         n = self.D.n
-        if not (sorted(self.sigma) == list(range(n))
+        diag = [self.D.entry(k, k) for k in range(n)]
+        if not (m.n == n
+                and sorted(self.sigma) == list(range(n))
                 and all(self.D.entry(i, j).is_zero
                         for i in range(n) for j in range(n) if i != j)
                 and self.U.is_unit_upper_at_zero()
                 and self.V.is_unit_upper_at_zero()
-                and self.product() == m):
+                and _smith.product_equals(_pairs(self.U.rows), [(e.den, e.nums) for e in diag],
+                                          self.sigma, _pairs(self.V.rows), _pairs(m.rows))):
             return False
         object.__setattr__(self, "_product", m)
         return True

@@ -11,8 +11,8 @@ from stringalg.polymat import (MAX_PARSE_DEGREE, Poly, PolyMatrix, SmithFactoriz
                                parse_poly, parse_poly_matrix,
                                poly_matrix_inverse,
                                smith_elimination_step, _pivot_position)
-from stringalg._smith import (PRIME_BITS, PRIME_OFFSETS, Differences, eliminate, horner,
-                              identity, pivot, primes, reduced)
+from stringalg._smith import (PRIME_BITS, PRIME_OFFSETS, eliminate, identity, pivot,
+                              primes, reduced)
 
 
 EXAMPLE_MATRIX = """
@@ -220,6 +220,43 @@ def test_already_diagonal_matrix():
     assert not swapped.verify(m)
 
 
+def _falling(k):
+    """t(t - 1)...(t - k), which vanishes at 0, 1, ..., k."""
+    f = Poly.const(1)
+    for c in range(k + 1):
+        f = f * Poly([-c, 1])
+    return f
+
+
+def _plus_at(m, i, j, f):
+    rows = [list(row) for row in m.rows]
+    rows[i][j] = rows[i][j] + f
+    return PolyMatrix(rows)
+
+
+def test_certificate_compares_past_the_product_degree():
+    # the product's entries have degree at most the factors' bound K, so a
+    # matrix differing by t(t - 1)...(t - K) agrees with it at 0..K and the
+    # certificate must look further, at M's degree
+    m = parse_poly_matrix(EXAMPLE_MATRIX)
+    fact = modified_smith(m)
+    bound = sum(max(e.degree for row in f.rows for e in row) for f in (fact.U, fact.D, fact.V))
+    for k in (bound, bound + 1, bound + 4):
+        for i, j in ((0, 0), (1, 2), (2, 1)):
+            assert not fact.verify(_plus_at(m, i, j, _falling(k)))
+    assert fact.verify(m)
+
+
+def test_certificate_compares_zero_product_entries():
+    # an off-diagonal entry of U * D * V is identically zero here, yet
+    # t(t - 1) there vanishes at 0 and 1 and is caught only at 2
+    m = parse_poly_matrix("x, 0; 0, x^2 + 1")
+    fact = modified_smith(m)
+    assert fact.verify(m)
+    for i, j in ((0, 1), (1, 0)):
+        assert not fact.verify(_plus_at(m, i, j, _falling(1)))
+
+
 def test_zero_matrix():
     m = PolyMatrix.zero(3)
     fact = modified_smith(m)
@@ -299,21 +336,6 @@ def test_modular_elimination_follows_exact_steps(m):
         assert right == [[_image(e, p) for e in row] for row in (twice - v0).rows]
         steps += 1
     assert steps >= 2
-
-
-def test_differences_rebuild_integer_polynomials():
-    # leading zeros among the values and the differences, as for
-    # t(t - 1)(t - 5) or t^2 - t, must not end the polynomial early
-    rng = random.Random(3)
-    cases = [[0, 5, -6, 1], [0, -1, 1], [0, 0, 0, 0, 7], [], [4]]
-    cases += [[rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [rng.randint(1, 9)]
-              for _ in range(20)]
-    for coeffs in cases:
-        for extra in (0, 1, 5):
-            diffs = Differences()
-            for t in range(len(coeffs) + extra):
-                diffs.push(horner(coeffs, t))
-            assert diffs.coefficients() == coeffs
 
 
 def test_elimination_primes():

@@ -88,7 +88,20 @@ def test_certificate_rejects_perturbed_factor(large_items, factor):
     rows[i][j] = _perturb_top(rows[i][j])
     bad = dataclasses.replace(fact, **{factor: PolyMatrix(rows)})
     assert not bad.verify(m)
-    assert bad.product() != m
+    # a witness that the product differs: the values at t = 1, where
+    # multiplying out the factors would take seconds
+    n = m.n
+    perm = [[int(bad.sigma[i] == j) for j in range(n)] for i in range(n)]
+    value = _times(_times(_times(_at_one(bad.U), _at_one(bad.D)), perm), _at_one(bad.V))
+    assert value != _at_one(m)
+
+
+def _at_one(mat):
+    return [[Fraction(sum(e.nums), e.den) for e in row] for row in mat.rows]
+
+
+def _times(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 # Rank-deficient matrices: their elimination ends at a zero block, the level
