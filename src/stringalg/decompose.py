@@ -256,12 +256,13 @@ def _radical_tower(f):
     """Stage 3: peel f (vertex fixing, arrows moved inside the radical)
     level by level.
 
-    Returns (d, rho, word, u) with f = exp(d) o rho o conj(u) exactly; d is
-    a maximal-type derivation, u a unit congruent to 1, and
-    rho = exp(w_1) o ... o exp(w_k) over the pairs (w_i, exp(-w_i)) of word,
-    the w_i cycle-type derivations, one per level that has returning terms.
-    When rho is itself inner, it is absorbed into u and returned as the
-    identity with an empty word.
+    Returns (d, rho, word, u, u_inverse) with f = exp(d) o rho o conj(u)
+    exactly; d is a maximal-type derivation, u a unit congruent to 1 and
+    u_inverse its inverse, carried through every step and not yet checked,
+    and rho = exp(w_1) o ... o exp(w_k) over the pairs (w_i, exp(-w_i)) of
+    word, the w_i cycle-type derivations, one per level that has returning
+    terms.  When rho is itself inner, it is absorbed into u and returned as
+    the identity with an empty word.
     """
     algebra = f.algebra
     bound = algebra.radical_degree_bound()
@@ -275,7 +276,7 @@ def _radical_tower(f):
     d_acc = make_derivation(algebra, [])
     rho = Endomorphism.identity(algebra)
     word = []
-    u_acc = algebra.one()
+    u_acc = u_inv = algebra.one()
     current = f
     while True:
         levels = [img - algebra.arrow(a) for a, img in current.arrow_images.items()]
@@ -303,7 +304,7 @@ def _radical_tower(f):
             v_inverse = geometric_inverse(-y)
             step = inner_automorphism(Unit(v_value, v_inverse))
             current = step.compose(current)
-            u_acc = v_inverse * u_acc
+            u_acc, u_inv = v_inverse * u_acc, u_inv * v_value
         # stage B: remove returning-path terms by a cycle-type exponential
         x_assign = []
         for a in sorted(algebra.quiver.arrow_by_name):
@@ -324,7 +325,7 @@ def _radical_tower(f):
             current = step_inverse.compose(current)
             rho = rho.compose(exponentiate(w))
             word.append((w, step_inverse))
-            u_acc = step_inverse.apply(u_acc)
+            u_acc, u_inv = _apply_both(step_inverse, u_acc, u_inv)
         # stage C: the rest of the level must be left maximal; exponentiate away
         m_assign = []
         for a in sorted(algebra.quiver.arrow_by_name):
@@ -349,16 +350,22 @@ def _radical_tower(f):
             step = exponentiate(d_step)
             current = step.compose(current)
             d_acc = d_acc.plus(d_step.negated())
-            u_acc = step.apply(u_acc)
+            u_acc, u_inv = _apply_both(step, u_acc, u_inv)
         still = [img - algebra.arrow(a) for a, img in current.arrow_images.items()]
         if any((not x.is_zero) and x.min_degree() <= n for x in still):
             raise DecompositionError(f"level {n} did not clear")
     if not rho.is_identity():
         match = _solve_inner_match(rho)
         if match is not None:
-            u_acc = u_acc * match.value
+            u_acc, u_inv = u_acc * match.value, match.inverse * u_inv
             rho, word = Endomorphism.identity(algebra), []
-    return d_acc, rho, tuple(word), u_acc
+    return d_acc, rho, tuple(word), u_acc, u_inv
+
+
+def _apply_both(f, x, y):
+    """(f(x), f(y)) for an endomorphism f, sharing its prefix images."""
+    memo = {}
+    return f.apply(x, memo), f.apply(y, memo)
 
 
 def _solve_inner_match(rho):
@@ -394,10 +401,9 @@ def decompose_string(f):
     return decompose_general(f)
 
 
-def _tower_factors(d, rho, word, u_value):
+def _tower_factors(d, rho, word, unit):
     """The [exponential, endpoint-preserving, inner] factors exp(d), rho
-    with the derivations of its word, and conjugation by the unit u_value."""
-    unit = invert_unit(u_value)
+    with the derivations of its word, and conjugation by `unit`."""
     return (Factor(EXP_MAXIMAL, exponentiate(d), derivations=(d,)),
             Factor(ENDPOINT_PRESERVING, rho, derivations=tuple(w for w, _ in word)),
             Factor(INNER, inner_automorphism(unit), unit=unit))
@@ -452,15 +458,18 @@ def decompose_general(f):
     u3 = invert_unit(u3_value)
     g3 = inner_automorphism(u3).compose(g2)
     # stage 3: radical tower
-    d_acc, rho, word, u4_value = _radical_tower(g3)
+    d_acc, rho, word, u4_value, u4_inverse = _radical_tower(g3)
     # assemble: g = exp(d_acc - d1) o rho o conj(u_final), with
-    # u_final = u4 * rho^-1(exp(-d_acc)(u3^-1 * u2)) and
-    # rho^-1 = exp(-w_k) o ... o exp(-w_1) run in the word's order
+    # u_final = u4 * x for x = rho^-1(exp(-d_acc)(u3^-1 * u2)) and
+    # rho^-1 = exp(-w_k) o ... o exp(-w_1) run in the word's order; the
+    # same maps send u2^-1 * u3 to x^-1, and Unit checks the pair
     d_total = d_acc.plus(d1.negated())
-    x = exponentiate(d_acc.negated()).apply(u3.inverse * u2.value)
+    x, x_inverse = _apply_both(exponentiate(d_acc.negated()),
+                               u3.inverse * u2.value, u2.inverse * u3.value)
     for _, step_inverse in word:
-        x = step_inverse.apply(x)
-    factors.extend(_tower_factors(d_total, rho, word, u4_value * x))
+        x, x_inverse = _apply_both(step_inverse, x, x_inverse)
+    unit = Unit(u4_value * x, x_inverse * u4_inverse)
+    factors.extend(_tower_factors(d_total, rho, word, unit))
     return _verified(Decomposition(tuple(factors)), f)
 
 

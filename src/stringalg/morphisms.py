@@ -5,12 +5,16 @@ An endomorphism is stored by its images of stationary paths and arrows.  The
 image of a longer path follows the walk it lies on: it is the image of its
 prefix one arrow shorter times the image of its last arrow, and the prefix
 images are kept for the one call that applies or composes the map.  An inner
-automorphism keeps its unit, and composing with it conjugates each generator
-image instead.  Certification checks the defining identities of the
-presentation exactly, after which the map is trusted as an algebra
-endomorphism; a composite of certified maps and conjugation by a verified
-unit are certified by construction and are not checked again.  Only the
-identity and graded maps carry their inverses; exponential, inner and
+automorphism (`Conjugation`) keeps its unit, and applying or composing it
+conjugates each element by the unit instead; its own generator images are
+built only when they are first read.  Certification checks the defining
+identities of the presentation exactly, after which the map is trusted as an
+algebra endomorphism.  A map that fixes every stationary path is certified
+without vertex products: stationary paths are orthogonal idempotents summing
+to one by construction, and e_s * f(a) * e_t = f(a) says that every term of
+f(a) runs from s to t.  A composite of certified maps and conjugation by a
+verified unit are certified by construction and are not checked again.  Only
+the identity and graded maps carry their inverses; exponential, inner and
 composite maps carry none.  The inverse of exp(d) is exp(-d), and the inverse
 of conjugation by u is conjugation by u^-1.
 """
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (CapExceededError, CertificationError, DerivationError,
                      NotAUnitError, ShapeError)
@@ -48,11 +53,9 @@ def _extend_linearly(algebra, x, image):
 class Endomorphism:
     """Algebra endomorphism determined by generator images; `inverse` is the
     inverse map, set only on the identity and on graded maps by
-    `invert_graded`, and None otherwise; with `unit` it is conjugation
-    x -> unit.inverse * x * unit.value."""
+    `invert_graded`, and None otherwise."""
 
-    def __init__(self, algebra, vertex_images, arrow_images, certified=False,
-                 unit=None):
+    def __init__(self, algebra, vertex_images, arrow_images, certified=False):
         self.algebra = algebra
         self.vertex_images = dict(vertex_images)
         self.arrow_images = dict(arrow_images)
@@ -62,7 +65,6 @@ class Endomorphism:
             raise ValueError(f"missing generator images: {sorted(missing)}")
         self.certified = certified
         self.inverse = None
-        self.unit = unit
 
     @staticmethod
     def identity(algebra):
@@ -93,8 +95,6 @@ class Endomorphism:
     def apply(self, x, memo=None):
         if isinstance(x, Path):
             return self.image_of_path(x, memo)
-        if self.unit is not None:
-            return self.unit.inverse * x * self.unit.value
         memo = {} if memo is None else memo
         return _extend_linearly(self.algebra, x, lambda p: self.image_of_path(p, memo))
 
@@ -123,27 +123,37 @@ def verify_endomorphism(f):
 
     Checks that vertex images are orthogonal idempotents summing to one,
     that arrow images are compatible with their endpoints, and that every
-    relation generator maps to zero.
+    relation generator maps to zero.  When every vertex image is its
+    stationary path the first holds by construction, and e_s * f(a) * e_t
+    keeps exactly the terms of f(a) that run from s to t, so the second is
+    read off the endpoints of those terms with no product.
     """
     algebra = f.algebra
     q = algebra.quiver
-    total = algebra.zero()
-    for v in q.vertices:
-        ev = f.vertex_images[v]
-        total = total + ev
-        if ev * ev != ev:
-            raise CertificationError(f"image of e_{v} is not idempotent")
-        for w in q.vertices:
-            if w != v and not (ev * f.vertex_images[w]).is_zero:
-                raise CertificationError(f"images of e_{v} and e_{w} are not orthogonal")
-    if total != algebra.one():
-        raise CertificationError("vertex images do not sum to the identity")
+    fixes = all(f.vertex_images[v] == algebra.stationary(v) for v in q.vertices)
+    if not fixes:
+        total = algebra.zero()
+        for v in q.vertices:
+            ev = f.vertex_images[v]
+            total = total + ev
+            if ev * ev != ev:
+                raise CertificationError(f"image of e_{v} is not idempotent")
+            for w in q.vertices:
+                if w != v and not (ev * f.vertex_images[w]).is_zero:
+                    raise CertificationError(
+                        f"images of e_{v} and e_{w} are not orthogonal")
+        if total != algebra.one():
+            raise CertificationError("vertex images do not sum to the identity")
     for a in sorted(q.arrow_by_name):
         fa = f.arrow_images[a]
-        sandwich = f.vertex_images[q.source(a)] * fa * f.vertex_images[q.target(a)]
-        if sandwich != fa:
-            raise CertificationError(
-                f"e_{q.source(a)}*f({a})*e_{q.target(a)} differs from f({a})")
+        s, t = q.source(a), q.target(a)
+        if fixes:
+            kept = all(q.path_source(p) == s and q.path_target(p) == t
+                       for p in fa.terms)
+        else:
+            kept = f.vertex_images[s] * fa * f.vertex_images[t] == fa
+        if not kept:
+            raise CertificationError(f"e_{s}*f({a})*e_{t} differs from f({a})")
     for g in algebra.relations:
         if not f.image_of_path(g).is_zero:
             raise CertificationError(f"image of relation {g} is nonzero")
@@ -467,6 +477,36 @@ def invert_unit(u):
     return Unit(u, sum(levels[1:], v0) * low_inv)
 
 
+class Conjugation(Endomorphism):
+    """Conjugation x -> unit.inverse * x * unit.value by a verified `Unit`.
+
+    `apply`, and so `compose` with it on the left, conjugates through the
+    unit; the generator images are built from the unit when first read."""
+
+    def __init__(self, unit):
+        self.algebra = unit.value.algebra
+        self.certified = True
+        self.inverse = None
+        self.unit = unit
+
+    @cached_property
+    def vertex_images(self):
+        u, algebra = self.unit, self.algebra
+        return {v: u.inverse * algebra.stationary(v) * u.value
+                for v in algebra.quiver.vertices}
+
+    @cached_property
+    def arrow_images(self):
+        u, algebra = self.unit, self.algebra
+        return {a: u.inverse * algebra.arrow(a) * u.value
+                for a in algebra.quiver.arrow_by_name}
+
+    def apply(self, x, memo=None):
+        if isinstance(x, Path):
+            return self.image_of_path(x, memo)
+        return self.unit.inverse * x * self.unit.value
+
+
 def inner_automorphism(u):
     """Conjugation by a unit whose degree-zero part is the identity.
 
@@ -479,11 +519,7 @@ def inner_automorphism(u):
     algebra = u.value.algebra
     if u.value.degree_part(0) != algebra.one():
         raise NotAUnitError("conjugation requires a unit congruent to 1 mod positive degree")
-    return Endomorphism(
-        algebra,
-        {v: u.inverse * algebra.stationary(v) * u.value for v in algebra.quiver.vertices},
-        {a: u.inverse * algebra.arrow(a) * u.value for a in algebra.quiver.arrow_by_name},
-        certified=True, unit=u)
+    return Conjugation(u)
 
 
 # -- morphism file format -----------------------------------------------------

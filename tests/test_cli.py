@@ -220,6 +220,20 @@ def test_decompose_rejects_uncertifiable(files, capsys):
     assert run(["decompose", q, m]) == 3
 
 
+@pytest.mark.parametrize("text, message", [
+    # moves e_1: the vertex images are checked by products
+    ("map e_1 = 1*e_1 + 1*a\n", "images of e_1 and e_2 are not orthogonal"),
+    # fixes the vertices: f(a) is checked by the endpoints of its terms
+    ("map a = 1*a + 1*b\n", "e_1*f(a)*e_2 differs from f(a)"),
+])
+def test_decompose_uncertifiable_names_the_identity(files, capsys, text, message):
+    q = files("q.quiver", TWO_CYCLE_FREE)
+    assert run(["decompose", q, files("f.map", text)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_decompose_moved_free_loop_exit(files, capsys):
     q = files("q.quiver", FREE_LOOP)
     assert run(["decompose", q, files("f.map", "map x = 1*x + 1*x.x\n")]) == 3

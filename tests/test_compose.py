@@ -15,7 +15,7 @@ import pytest
 
 from stringalg import decompose
 from stringalg.decompose import decompose_general
-from stringalg.errors import DecompositionError
+from stringalg.errors import DecompositionError, NotAUnitError
 from stringalg.morphisms import (Endomorphism, Unit, inner_automorphism,
                                  invert_unit, verify_endomorphism)
 
@@ -114,18 +114,23 @@ def test_returned_factors_pass_certification():
                 assert g.compose(g.inverse).is_identity(), (i, factor.kind)
 
 
+def _twist(algebra):
+    """A unit 1 + p, p an elementary radical path, whose conjugation moves
+    something."""
+    return next(unit for unit in (invert_unit(algebra.one() + algebra.path_element(p))
+                                  for p in elementary_unit_paths(algebra))
+                if not inner_automorphism(unit).is_identity())
+
+
 def wrong_unit_tower(monkeypatch):
     """Make the tower's inner factor conjugate by a unit off by one radical
     path, so that the factors no longer recompose the input."""
     tower_factors = decompose._tower_factors
 
-    def wrong(d, rho, word, u_value):
-        algebra = u_value.algebra
-        twist = next(algebra.one() + algebra.path_element(p)
-                     for p in elementary_unit_paths(algebra)
-                     if not inner_automorphism(
-                         algebra.one() + algebra.path_element(p)).is_identity())
-        return tower_factors(d, rho, word, u_value * twist)
+    def wrong(d, rho, word, unit):
+        twist = _twist(unit.value.algebra)
+        return tower_factors(d, rho, word, Unit(unit.value * twist.value,
+                                                twist.inverse * unit.inverse))
 
     monkeypatch.setattr(decompose, "_tower_factors", wrong)
 
@@ -134,4 +139,20 @@ def test_wrong_inner_factor_fails_recomposition(monkeypatch):
     f = next(iter(_criterion_5_items(1)))
     wrong_unit_tower(monkeypatch)
     with pytest.raises(DecompositionError, match="recomposition"):
+        decompose_general(f)
+
+
+def test_wrong_carried_inverse_fails_unit_verification(monkeypatch):
+    # the tower's unit carries its inverse, built next to it rather than by
+    # invert_unit; an inverse off by one radical path fails the Unit check
+    f = next(iter(_criterion_5_items(1)))
+    radical_tower = decompose._radical_tower
+
+    def wrong(g):
+        d, rho, word, u, u_inverse = radical_tower(g)
+        p = g.algebra.radical_paths()[0]
+        return d, rho, word, u, u_inverse + g.algebra.path_element(p)
+
+    monkeypatch.setattr(decompose, "_radical_tower", wrong)
+    with pytest.raises(NotAUnitError, match="^inverse verification failed$"):
         decompose_general(f)

@@ -405,6 +405,21 @@ def test_parallel_exponential_never_absorbed_into_inner(double_diamond):
         assert dec.factor(ENDPOINT_PRESERVING).is_trivial
 
 
+def test_inner_match_compares_the_conjugation_images(monkeypatch):
+    # conjugations build their images on first read; the match reads them
+    algebra = make_algebra(SOURCES["two_cycle_rel"])
+    conj = inner_automorphism(
+        invert_unit(algebra.one() + 2 * algebra.arrow("a") - algebra.arrow("b")))
+    rho = Endomorphism(algebra, conj.vertex_images, conj.arrow_images, certified=True)
+    match = _solve_inner_match(rho)
+    assert match is not None and inner_automorphism(match) == rho
+    # a unit that conjugates otherwise is refused by the comparison
+    wrong = algebra.one() + algebra.arrow("a")
+    assert inner_automorphism(invert_unit(wrong)) != rho
+    monkeypatch.setattr(decompose, "_solve_intertwiner", lambda images, supports: wrong)
+    assert _solve_inner_match(rho) is None
+
+
 def test_gentle_decompositions_have_no_endpoint_factor():
     rng = random.Random(19)
     for name in ("double_diamond", "doubled_line", "kronecker"):

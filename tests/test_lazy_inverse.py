@@ -1,8 +1,13 @@
 """A recomposition makes one product per factor boundary and builds no
-inverse: a composite carries none."""
+inverse: a composite carries none; and the decomposition inverts a unit only
+where it has no inverse at hand."""
+
+import collections
+import sys
 
 import pytest
 
+from stringalg import decompose
 from stringalg.decompose import Decomposition, decompose_general
 from stringalg.morphisms import Endomorphism, parse_endomorphism, verify_endomorphism
 
@@ -36,3 +41,36 @@ def test_recomposition_makes_one_product_per_factor_boundary(raw_calls):
         assert single.compose() is dec.factors[-1].endomorphism
         assert len(raw_calls) == len(dec.factors) - 1
     assert kinds == {3, 4}    # with and without a leading graded factor
+
+
+def test_units_are_inverted_only_where_no_inverse_is_carried(monkeypatch):
+    # one invert_unit per infinite-cycle block, one for the vertex
+    # correction and one for an inner match the solve finds; the tower's
+    # unit is built with its inverse
+    callers = collections.Counter()
+    invert_unit, solve = decompose.invert_unit, decompose._solve_intertwiner
+    matches = []
+
+    def counting(u):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return invert_unit(u)
+
+    def solving(images, supports):
+        out = solve(images, supports)
+        if sys._getframe(1).f_code.co_name == "_solve_inner_match":
+            matches.append(out is not None)
+        return out
+
+    monkeypatch.setattr(decompose, "invert_unit", counting)
+    monkeypatch.setattr(decompose, "_solve_intertwiner", solving)
+    matched = 0
+    for f in _criterion_5_items(12):
+        callers.clear()
+        matches.clear()
+        decompose_general(f)
+        expected = {"_block_unit": len(f.algebra.infinite_cycles()),
+                    "decompose_general": 1, "_solve_inner_match": sum(matches)}
+        assert callers == collections.Counter(expected)
+        assert "_tower_factors" not in callers
+        matched += sum(matches)
+    assert matched == 1

@@ -2,11 +2,13 @@
 conjugation."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from stringalg import Path
+from stringalg.algebra import Element
 from stringalg.errors import (CapExceededError, CertificationError,
                               DerivationError, ElementFormatError, NotAUnitError)
 from stringalg.maximal import classify_maximal, rotation_sum
@@ -61,6 +63,44 @@ def test_vertex_image_violations(ex_string):
     f = parse_endomorphism(ex_string, "map e_1 = 1*e_1 + 1*e_2")
     with pytest.raises(CertificationError):
         verify_endomorphism(f)
+
+
+@pytest.mark.parametrize("text, message", [
+    # moves e_1, so the vertex images are checked by products
+    ("map e_1 = 1*e_1 + 1*a", "images of e_1 and e_2 are not orthogonal"),
+    # fixes the vertices, so f(a) is checked by the endpoints of its terms
+    ("map a = 1*a + 1*b", "e_1*f(a)*e_2 differs from f(a)"),
+])
+def test_certification_failures_name_the_identity(cycle_free, text, message):
+    with pytest.raises(CertificationError) as err:
+        verify_endomorphism(parse_endomorphism(cycle_free, text))
+    assert str(err.value) == message
+
+
+@pytest.fixture
+def product_callers(monkeypatch):
+    """The name of the function making each Element product."""
+    callers = []
+    mul = Element.__mul__
+
+    def counting(self, other):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return mul(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counting)
+    return callers
+
+
+def test_exponential_certification_makes_no_vertex_products(ex_string, product_callers):
+    d = make_derivation(ex_string, [("a", ex_string.path_element(("a", "b", "a")))])
+    f = exponentiate(d)
+    assert f.certified
+    # the derivation's own products, then one per arrow after the first of
+    # each relation's image, and none for the stationary paths
+    relation_products = sum(g.length - 1 for g in ex_string.relations)
+    assert relation_products == 6
+    assert set(product_callers) == {"apply_path", "image_of_path"}
+    assert product_callers.count("image_of_path") == relation_products
 
 
 # -- graded part and membership ----------------------------------------------
@@ -460,6 +500,32 @@ def test_inner_automorphism_examples(ex_string, cycle_free):
     assert g.arrow_images["a"] == cycle_free.arrow("a")
     assert g.arrow_images["b"] == cycle_free.parse_element(
         "1*b + 1*b.a - 1*a.b - 1*a.b.a")
+
+
+def test_conjugation_images_are_built_on_first_read(ex_string, product_callers):
+    u = invert_unit(ex_string.parse_element("1 - 1*a.b + 1*b.a"))
+    product_callers.clear()
+    f = inner_automorphism(u)
+    assert product_callers == []
+    g = exponentiate(make_derivation(
+        ex_string, [("a", ex_string.path_element(("a", "b", "a")))]))
+    product_callers.clear()
+    f.compose(g)
+    assert product_callers and set(product_callers) == {"apply"}
+    assert "vertex_images" not in vars(f) and "arrow_images" not in vars(f)
+    assert not hasattr(f, "_path_cache")
+    product_callers.clear()
+    eager_vertices = {v: u.inverse * ex_string.stationary(v) * u.value
+                      for v in ex_string.quiver.vertices}
+    eager_arrows = {a: u.inverse * ex_string.arrow(a) * u.value
+                    for a in ex_string.quiver.arrow_by_name}
+    made = len(product_callers)
+    assert f.vertex_images == eager_vertices
+    assert f.arrow_images == eager_arrows
+    assert len(product_callers) == 2 * made
+    # read once, then kept
+    assert f.arrow_images is f.arrow_images
+    assert len(product_callers) == 2 * made
 
 
 def test_inner_automorphism_requires_unipotent_part(ex_string):
