@@ -483,8 +483,15 @@ def _verified(decomposition, f):
 
 
 def outer_class(algebra):
-    """Symbolic description of vertex-fixing automorphisms modulo inner ones
-    for a (locally) gentle presentation."""
+    """Symbolic description of the vertex-fixing automorphisms of a
+    (locally) gentle presentation modulo the inner automorphisms by units
+    congruent to 1 modulo the radical.
+
+    Conjugation by a unit that scales the stationary paths (the vertex
+    torus, of dimension |Q_0| - 1 modulo scalars) is inner too but is not
+    divided out, so a description is that many dimensions larger than HH^1
+    (as computed on the Kronecker, double-diamond and doubled-line
+    presentations)."""
     pres = algebra.presentation
     if not pres.is_gentle:
         raise ShapeError("outer class report requires a (locally) gentle presentation")

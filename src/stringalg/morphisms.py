@@ -13,10 +13,18 @@ algebra endomorphism.  A map that fixes every stationary path is certified
 without vertex products: stationary paths are orthogonal idempotents summing
 to one by construction, and e_s * f(a) * e_t = f(a) says that every term of
 f(a) runs from s to t.  A composite of certified maps and conjugation by a
-verified unit are certified by construction and are not checked again.  Only
-the identity and graded maps carry their inverses; exponential, inner and
-composite maps carry none.  The inverse of exp(d) is exp(-d), and the inverse
-of conjugation by u is conjugation by u^-1.
+verified unit are certified by construction and are not checked again.
+
+A map built as the identity is marked so: `Endomorphism.identity`, the
+exponential of the zero derivation (which is that identity) and conjugation
+by the unit 1.  Applying a marked map returns its argument, composing with
+it returns the other map itself, and it is the identity without a
+comparison.  No map is marked because its images happen to be the
+identity's.  Only the identity and graded maps carry their inverses; the
+identity is its own.  Other exponential, inner and composite maps carry
+none, except that a composite with a marked map is the other map and
+carries whatever that one does.  The inverse of exp(d) is exp(-d), and the
+inverse of conjugation by u is conjugation by u^-1.
 """
 
 from __future__ import annotations
@@ -55,6 +63,9 @@ class Endomorphism:
     inverse map, set only on the identity and on graded maps by
     `invert_graded`, and None otherwise."""
 
+    # set only on maps built as the identity, never inferred from images
+    built_identity = False
+
     def __init__(self, algebra, vertex_images, arrow_images, certified=False):
         self.algebra = algebra
         self.vertex_images = dict(vertex_images)
@@ -74,11 +85,14 @@ class Endomorphism:
             {a: algebra.arrow(a) for a in algebra.quiver.arrow_by_name},
             certified=True)
         f.inverse = f
+        f.built_identity = True
         return f
 
     def image_of_path(self, path, memo=None):
         """Image of a path; `memo` maps arrow tuples to the prefix images
         already built in the current call."""
+        if self.built_identity:
+            return self.algebra.path_element(path)
         if path.is_stationary:
             return self.vertex_images[path.vertex]
         arrows = path.arrows
@@ -95,13 +109,20 @@ class Endomorphism:
     def apply(self, x, memo=None):
         if isinstance(x, Path):
             return self.image_of_path(x, memo)
+        if self.built_identity:
+            return x
         memo = {} if memo is None else memo
         return _extend_linearly(self.algebra, x, lambda p: self.image_of_path(p, memo))
 
     def compose(self, other):
-        """self after other: (self.compose(other))(x) = self(other(x))."""
+        """self after other: (self.compose(other))(x) = self(other(x)).  A
+        marked identity on either side returns the other map itself."""
         if other.algebra is not self.algebra:
             raise ValueError("endomorphisms of different algebras")
+        if self.built_identity:
+            return other
+        if other.built_identity:
+            return self
         memo = {}
         return Endomorphism(
             self.algebra,
@@ -115,7 +136,7 @@ class Endomorphism:
                 and self.arrow_images == other.arrow_images)
 
     def is_identity(self):
-        return self == Endomorphism.identity(self.algebra)
+        return self.built_identity or self == Endomorphism.identity(self.algebra)
 
 
 def verify_endomorphism(f):
@@ -365,9 +386,13 @@ def exponentiate(d):
     longest radical path (at least 2), which is also the longest finite
     maximal path: the derivation is then not locally nilpotent.
     The returned endomorphism is certified and carries no inverse; the
-    inverse is exponentiate(d.negated()).
+    inverse is exponentiate(d.negated()).  The exponential of the zero
+    derivation is `Endomorphism.identity`, marked as such, and carries
+    itself as its inverse.
     """
     algebra = d.algebra
+    if d.is_zero:
+        return Endomorphism.identity(algebra)
     cap = max(algebra.radical_degree_bound() + 1, 2)
     arrow_images = {}
     for a in algebra.quiver.arrow_by_name:
@@ -481,13 +506,15 @@ class Conjugation(Endomorphism):
     """Conjugation x -> unit.inverse * x * unit.value by a verified `Unit`.
 
     `apply`, and so `compose` with it on the left, conjugates through the
-    unit; the generator images are built from the unit when first read."""
+    unit; the generator images are built from the unit when first read.
+    Conjugation by the unit 1 is marked as the identity."""
 
     def __init__(self, unit):
         self.algebra = unit.value.algebra
         self.certified = True
         self.inverse = None
         self.unit = unit
+        self.built_identity = unit.value == self.algebra.one()
 
     @cached_property
     def vertex_images(self):
@@ -502,8 +529,8 @@ class Conjugation(Endomorphism):
                 for a in algebra.quiver.arrow_by_name}
 
     def apply(self, x, memo=None):
-        if isinstance(x, Path):
-            return self.image_of_path(x, memo)
+        if isinstance(x, Path) or self.built_identity:
+            return super().apply(x, memo)
         return self.unit.inverse * x * self.unit.value
 
 

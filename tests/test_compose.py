@@ -17,7 +17,8 @@ from stringalg import decompose
 from stringalg.decompose import decompose_general
 from stringalg.errors import DecompositionError, NotAUnitError
 from stringalg.morphisms import (Endomorphism, Unit, inner_automorphism,
-                                 invert_unit, verify_endomorphism)
+                                 invert_unit, parse_endomorphism,
+                                 verify_endomorphism)
 
 from conftest import SOURCES, make_algebra
 from factories import (derivation_targets, elementary_unit_paths,
@@ -156,3 +157,37 @@ def test_wrong_carried_inverse_fails_unit_verification(monkeypatch):
     monkeypatch.setattr(decompose, "_radical_tower", wrong)
     with pytest.raises(NotAUnitError, match="^inverse verification failed$"):
         decompose_general(f)
+
+
+def _identities(algebra):
+    """The identity as built, and an equal map that carries no mark."""
+    identity = Endomorphism.identity(algebra)
+    return [identity, _plain(identity)]
+
+
+@pytest.mark.parametrize("name", ["two_cycle_rel", "kronecker", "cycle_pendant",
+                                  "cycle_with_diamond", "double_diamond"])
+def test_wrong_inner_factor_fails_recomposition_of_the_identity(monkeypatch, name):
+    # every factor of the identity's decomposition is built as the identity,
+    # so composing them skips every product: recomposition is the one wrong
+    # factor, still compared with the input
+    algebra = make_algebra(SOURCES[name])
+    for f in _identities(algebra):
+        assert all(factor.endomorphism.built_identity
+                   for factor in decompose_general(f).factors), name
+    wrong_unit_tower(monkeypatch)
+    for f in _identities(algebra):
+        with pytest.raises(DecompositionError,
+                           match="^recomposition does not reproduce the input$"):
+            decompose_general(f)
+
+
+def test_no_factor_is_the_input():
+    # so that the recomposition check never compares the input with itself
+    algebra = make_algebra(SOURCES["two_cycle_rel"])
+    graded = verify_endomorphism(parse_endomorphism(algebra, "map a = 2*a"))
+    inputs = [graded, *_criterion_5_items(30)]
+    for name in MIXED_SOURCES:
+        inputs += _identities(make_algebra(SOURCES[name]))
+    for f in inputs:
+        assert all(factor.endomorphism is not f for factor in decompose_general(f).factors)

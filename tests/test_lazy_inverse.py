@@ -1,5 +1,7 @@
-"""A recomposition makes one product per factor boundary and builds no
-inverse: a composite carries none; and the decomposition inverts a unit only
+"""A recomposition makes one compose call per factor boundary and builds no
+inverse: a composite carries none, and a composite with a map built as the
+identity *is* the other map and carries that map's `inverse`.  Composing
+with such a map makes no product.  The decomposition inverts a unit only
 where it has no inverse at hand."""
 
 import collections
@@ -8,7 +10,8 @@ import sys
 import pytest
 
 from stringalg import decompose
-from stringalg.decompose import Decomposition, decompose_general
+from stringalg.algebra import Element
+from stringalg.decompose import GRADED, Decomposition, decompose_general
 from stringalg.morphisms import Endomorphism, parse_endomorphism, verify_endomorphism
 
 from conftest import SOURCES, make_algebra
@@ -41,6 +44,40 @@ def test_recomposition_makes_one_product_per_factor_boundary(raw_calls):
         assert single.compose() is dec.factors[-1].endomorphism
         assert len(raw_calls) == len(dec.factors) - 1
     assert kinds == {3, 4}    # with and without a leading graded factor
+
+
+def test_composing_with_a_marked_identity_makes_no_product(monkeypatch):
+    products = []
+    mul = Element.__mul__
+    monkeypatch.setattr(Element, "__mul__",
+                        lambda self, other: products.append(1) or mul(self, other))
+    marked = []     # products made by each compose call with a marked side
+    raw = Endomorphism.compose
+
+    def compose(self, other):
+        before = len(products)
+        out = raw(self, other)
+        if self.built_identity or other.built_identity:
+            marked.append(len(products) - before)
+        return out
+
+    monkeypatch.setattr(Endomorphism, "compose", compose)
+    for f in _criterion_5_items(12):
+        dec = decompose_general(f)
+        assert dec.compose() == f
+    assert marked and not any(marked)
+
+
+def test_graded_only_input_recomposes_to_its_graded_factor():
+    algebra = make_algebra(SOURCES["two_cycle_rel"])
+    f = verify_endomorphism(parse_endomorphism(algebra, "map a = 2*a"))
+    dec = decompose_general(f)
+    assert dec.factors[0].kind == GRADED
+    assert all(factor.is_trivial for factor in dec.factors[1:])
+    g = dec.compose()
+    assert g is dec.factors[0].endomorphism and g == f
+    # the graded factor carries its inverse, and so does the recomposition
+    assert g.inverse is not None and g.compose(g.inverse).is_identity()
 
 
 def test_units_are_inverted_only_where_no_inverse_is_carried(monkeypatch):

@@ -13,7 +13,7 @@ from stringalg.errors import (CapExceededError, CertificationError,
                               DerivationError, ElementFormatError, NotAUnitError)
 from stringalg.maximal import classify_maximal, rotation_sum
 from stringalg.morphisms import (CYCLE, MAXIMAL, OTHER, PARALLEL, Endomorphism,
-                                 exponentiate, format_endomorphism,
+                                 Unit, exponentiate, format_endomorphism,
                                  geometric_inverse, graded_part,
                                  inner_automorphism, invert_unit,
                                  make_derivation, membership,
@@ -21,7 +21,9 @@ from stringalg.morphisms import (CYCLE, MAXIMAL, OTHER, PARALLEL, Endomorphism,
                                  verify_endomorphism)
 
 from conftest import LOOP_X70, SOURCES, make_algebra
-from factories import elementary_unit_paths, random_unit_factors, unit_product
+from factories import (derivation_targets, elementary_unit_paths,
+                       random_exponential, random_graded_identity_automorphism,
+                       random_inner, random_unit_factors, unit_product)
 from test_acceptance import TWO_CYCLES_BRIDGE
 
 
@@ -590,3 +592,106 @@ def test_unit_boundary_on_one_loop(poly_ring):
     # single loop survives every power
     with pytest.raises(NotAUnitError):
         invert_unit(poly_ring.one() + poly_ring.arrow("x"))
+
+
+# -- the identity mark -------------------------------------------------------------
+
+MARK_SOURCES = ("two_cycle_rel", "kronecker", "two_loops", "cycle_pendant",
+                "cycle_with_diamond", "double_diamond", "doubled_line")
+
+
+def _built_identities(algebra):
+    """The maps built as the identity: by name, as the exponential of the
+    zero derivation and as conjugation by the unit 1."""
+    one = algebra.one()
+    return [Endomorphism.identity(algebra),
+            exponentiate(make_derivation(algebra, [])),
+            inner_automorphism(one),
+            inner_automorphism(Unit(one, one))]
+
+
+def _seeded_maps(rng, algebra):
+    paths = elementary_unit_paths(algebra)
+    return [random_exponential(rng, algebra), random_inner(rng, algebra, paths),
+            random_graded_identity_automorphism(rng, algebra, pieces=2, paths=paths)]
+
+
+def test_marked_maps_are_the_identity():
+    rng = random.Random(401)
+    marked = unmarked = 0
+    for name in MARK_SOURCES:
+        algebra = make_algebra(SOURCES[name])
+        identity = Endomorphism.identity(algebra)
+        maps = _seeded_maps(rng, algebra) + _seeded_maps(rng, algebra)
+        for f in _built_identities(algebra) + maps:
+            if f.built_identity:
+                marked += 1
+                assert f == identity and f.certified, name
+                assert f.vertex_images == identity.vertex_images, name
+                assert f.arrow_images == identity.arrow_images, name
+            else:
+                unmarked += 1
+    assert marked and unmarked
+
+
+def test_nonzero_exponentials_are_never_marked():
+    rng = random.Random(409)
+    for name in MARK_SOURCES:
+        algebra = make_algebra(SOURCES[name])
+        targets = derivation_targets(algebra)
+        for a, p in rng.sample(targets, min(len(targets), 6)):
+            d = make_derivation(algebra, [(a, algebra.path_element(p))])
+            assert not exponentiate(d).built_identity, (name, a, str(p))
+            assert not exponentiate(d.negated()).built_identity, (name, a, str(p))
+
+
+def test_conjugation_by_a_unit_other_than_one_is_never_marked(ex_string):
+    rng = random.Random(419)
+    for name in MARK_SOURCES:
+        algebra = make_algebra(SOURCES[name])
+        for p in elementary_unit_paths(algebra):
+            c = rng.choice((-2, 1, 3))
+            unit = invert_unit(algebra.one() + algebra.path_element(p).scale(c))
+            assert not inner_automorphism(unit).built_identity, (name, str(p))
+    # a central unit conjugates trivially, and is still not marked: the mark
+    # comes from how a map is built, never from comparing its images
+    cube_zero = make_algebra("vertex v\narrow x : v -> v\nrelation x x x\n")
+    for algebra, text in [(ex_string, "1*a.b + 1*b.a"), (cube_zero, "1*x")]:
+        z = algebra.parse_element(text)
+        assert all(z * algebra.path_element(g) == algebra.path_element(g) * z
+                   for g in algebra.generators())
+        f = inner_automorphism(invert_unit(algebra.one() + z))
+        assert f.is_identity() and not f.built_identity
+
+
+def test_composing_with_a_marked_map_returns_the_other(product_callers):
+    rng = random.Random(421)
+    for name in MARK_SOURCES:
+        algebra = make_algebra(SOURCES[name])
+        maps = _seeded_maps(rng, algebra)
+        elements = [algebra.one() + algebra.path_element(p)
+                    for p in algebra.enumerate_basis(4)]
+        marks = _built_identities(algebra)
+        for m in marks:
+            product_callers.clear()
+            assert m.is_identity()
+            for f in maps + marks:
+                # a marked map on the left returns the right one
+                assert m.compose(f) is f, name
+                assert f.compose(m) is (m if f.built_identity else f), name
+            for x in elements:
+                assert m.apply(x) is x
+            for p in algebra.enumerate_basis(4) + list(algebra.relations):
+                assert m.apply(p) == algebra.path_element(p)
+            assert product_callers == [], name
+
+
+def test_marked_maps_of_different_algebras_do_not_compose(ex_string):
+    rng = random.Random(431)
+    other = make_algebra(SOURCES["two_cycle_rel"])
+    for m in _built_identities(ex_string):
+        for f in _seeded_maps(rng, other) + _built_identities(other):
+            with pytest.raises(ValueError, match="different algebras"):
+                m.compose(f)
+            with pytest.raises(ValueError, match="different algebras"):
+                f.compose(m)
