@@ -17,7 +17,9 @@ path is built once per algebra and shared.
 validate their results again: their terms are basis paths, as `concat`
 returns only those, so only zeros are dropped and integral Fractions made
 ints.  No code changes an element's terms in place, so each algebra builds
-`zero`, `one` and the generator elements once and shares them.
+`zero`, `one` and the generator elements once and shares them.  A product
+with the shared `one()` returns the other factor itself, with no
+concatenation; an element that merely equals 1 is multiplied out.
 """
 
 from __future__ import annotations
@@ -79,6 +81,11 @@ class Element:
         if type(other) is not Element and isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
+        one = self.algebra.one()
+        if other is one:
+            return self
+        if self is one:
+            return other
         quiver = self.algebra.quiver
         right = {}    # the right factor's terms by source vertex
         for q, d in other.terms.items():
@@ -209,6 +216,14 @@ class PathAlgebra:
         if not periodic and length > len(walk) or walk[n % len(walk)] != q.arrows[0]:
             return None
         return self._paths.get((first, length)) or self.walk_path(first, length)
+
+    def next_arrow(self, p):
+        """The arrow after the nonstationary basis path p on the walk from
+        its first arrow, or None where that walk ends with p: a basis path
+        q with p·q nonzero is stationary or starts with this arrow."""
+        walk, periodic = self._walks[p.arrows[0]]
+        n = len(p.arrows)
+        return walk[n % len(walk)] if periodic or n < len(walk) else None
 
     def walk_path(self, arrow_name, length):
         """The basis path of the first `length` arrows of the walk from

@@ -123,7 +123,8 @@ def peel_maximal(f):
 def solve_conjugation_unique_max(f):
     """Conjugating unit for a graded-identity automorphism of a locally
     gentle algebra with a unique infinite maximal path: the algebra is one
-    block, solved by `_block_unit`."""
+    block, solved by `_block_unit`, and conjugation by the unit is compared
+    with f on every generator before it is returned."""
     algebra = f.algebra
     if algebra.is_polynomial_ring:
         raise ShapeError("the one-loop free algebra has no conjugation solver")
@@ -132,7 +133,10 @@ def solve_conjugation_unique_max(f):
         raise ShapeError("algebra must have exactly one maximal path, infinite")
     if not f.certified or not membership(f).graded_identity:
         raise CertificationError("solver requires a certified graded-identity input")
-    return _block_unit(f, 0)
+    unit = _block_unit(f, 0)
+    if inner_automorphism(unit) != f:
+        raise DecompositionError("conjugation verification failed")
+    return unit
 
 
 def _block_unit(f, index):
@@ -162,6 +166,11 @@ def _block_unit(f, index):
     unit up to E means no unit at all, and DecompositionError names the
     block, E and the generator that carries the top term.  A solution that
     is not a unit raises NotAUnitError: the input was not an automorphism.
+
+    The unit is returned with its verified inverse but without checking
+    that it conjugates the block: `decompose_general` checks that every
+    cycle arrow is fixed after the block correction, and
+    `solve_conjugation_unique_max` compares the whole conjugation with f.
     """
     algebra = f.algebra
     cycle = algebra.infinite_cycles()[index]
@@ -187,11 +196,7 @@ def _block_unit(f, index):
             f"intertwiner: no unit conjugates block {index} (a unit would have "
             f"x-degree at most {bound}, the x-degree of {top[0]} in the image "
             f"of {top[1]})")
-    unit = invert_unit(u)
-    if any(unit.inverse * algebra.path_element(g) * unit.value != image
-           for g, image in images.items()):
-        raise DecompositionError("conjugation verification failed")
-    return unit
+    return invert_unit(u)
 
 
 def _solve_intertwiner(images, supports):
@@ -201,39 +206,30 @@ def _solve_intertwiner(images, supports):
     batch gives one.
 
     One growing solve.  The unknown c_w has the column w * images[g] - g * w
-    over the generators g, and the right-hand side is g - images[g]; neither
-    changes when the support grows.  Each batch adds its paths as columns, in
-    order, to one `Echelon`: each column is built once and reduced once, the
-    reduced right-hand side carries over, and the solve stops after the first
-    batch that leaves it zero.  A column that depends on the ones before it
-    keeps coefficient 0, so with free unknowns the answer follows insertion
+    over the generators g, built by `_intertwiner_columns`, and the
+    right-hand side is g - images[g]; neither changes when the support
+    grows.  Rows are numbered by (generator, path) as they first hold a
+    nonzero entry.  Each batch adds its paths as columns, in order, to one
+    `Echelon`: each column is built once and reduced once, the reduced
+    right-hand side carries over, and the solve stops after the first batch
+    that leaves it zero.  A column that depends on the ones before it keeps
+    coefficient 0, so with free unknowns the answer follows insertion
     order.  Raises CapExceededError before reducing a batch when the system
     grown by it has more than MAX_INTERTWINER_SIZE rows x unknowns.
     """
     algebra = next(iter(images.values())).algebra
-    concat = algebra.concat
-    generators = list(enumerate(images.items()))
-    target = {(k, p): -c for k, (g, image) in generators
-              for p, c in (image - algebra.path_element(g)).terms.items()}
-    echelon = Echelon(target)
-    rows, unknowns = set(target), 0
+    column_of = _intertwiner_columns(images)
+    rows = {}
+
+    def numbered(entries):
+        return {rows.setdefault(key, len(rows)): c for key, c in entries.items()}
+
+    echelon = Echelon(numbered(
+        {(k, p): -c for k, (g, image) in enumerate(images.items())
+         for p, c in (image - algebra.path_element(g)).terms.items()}))
+    unknowns = 0
     for degree, batch in enumerate(supports):
-        columns = []
-        for w in batch:
-            column = {}   # per (generator, path): coefficient
-            for k, (g, image) in generators:
-                # w * p differ for different p: paths cancel on the left
-                for p, c in image.terms.items():
-                    wp = concat(w, p)
-                    if wp is not None:
-                        column[(k, wp)] = c
-                gw = concat(g, w)
-                if gw is not None:
-                    c = column.pop((k, gw), 0) - 1
-                    if c:
-                        column[(k, gw)] = c
-            rows.update(column)
-            columns.append(column)
+        columns = [numbered(column_of(w)) for w in batch]
         unknowns += len(batch)
         size = len(rows) * unknowns
         if size > MAX_INTERTWINER_SIZE:
@@ -247,6 +243,47 @@ def _solve_intertwiner(images, supports):
         if solution is not None:
             return algebra.one() + algebra.element(solution)
     return None
+
+
+def _intertwiner_columns(images):
+    """column(w): the nonzero entries of w * images[g] - g * w over the
+    generators g, as {(index of g in images, path): value}, for a
+    nonstationary basis path w.
+
+    A product of basis paths w * p is nonzero only when p is stationary at
+    w's target or starts with the arrow after w, so the images' terms are
+    sorted once into buckets by first arrow (a stationary term by its
+    path), and w meets only its two buckets.  Likewise g * w is w for the
+    stationary g at w's source and is nonzero for an arrow g only when w
+    starts with the arrow after g.  Distinct p give distinct w * p, as
+    paths cancel on the left.
+    """
+    algebra = next(iter(images.values())).algebra
+    concat, quiver = algebra.concat, algebra.quiver
+    stationary = {v: Path.stationary(v) for v in quiver.vertices}
+    follow, lead = {}, {}   # image terms by first arrow; generators by the arrow after them
+    for k, (g, image) in enumerate(images.items()):
+        for p, c in image.terms.items():
+            follow.setdefault(p.first_arrow or p, []).append((k, p, c))
+        lead.setdefault(algebra.next_arrow(g) if g.arrows else g, []).append((k, g))
+
+    def column(w):
+        out = {}
+        at = stationary[quiver.path_target(w)]
+        for k, p, c in follow.get(at, []) + follow.get(algebra.next_arrow(w), []):
+            wp = concat(w, p)
+            if wp is not None:
+                out[(k, wp)] = c
+        start = stationary[quiver.path_source(w)]
+        for k, g in lead.get(start, []) + lead.get(w.first_arrow, []):
+            gw = concat(g, w) if g.arrows else w
+            if gw is not None:
+                c = out.pop((k, gw), 0) - 1
+                if c:
+                    out[(k, gw)] = c
+        return out
+
+    return column
 
 
 # -- stage 3: the level tower over the radical ----------------------------------
@@ -290,10 +327,11 @@ def _radical_tower(f):
             raise DecompositionError(
                 "moved parts persist beyond the radical degree bound; "
                 "input is not an automorphism")
+        # n >= 2, so the level-n part of an image never holds its arrow
         # stage A: cancel terms starting with their own arrow by an inner factor
         y_terms = {}
         for a in algebra.quiver.arrow_by_name:
-            part = (current.arrow_images[a] - algebra.arrow(a)).degree_part(n)
+            part = current.arrow_images[a].degree_part(n)
             for p, c in part.terms.items():
                 if p.first_arrow == a:
                     tail = Path.of(p.arrows[1:])
@@ -308,7 +346,7 @@ def _radical_tower(f):
         # stage B: remove returning-path terms by a cycle-type exponential
         x_assign = []
         for a in sorted(algebra.quiver.arrow_by_name):
-            part = (current.arrow_images[a] - algebra.arrow(a)).degree_part(n)
+            part = current.arrow_images[a].degree_part(n)
             returning = {p: c for p, c in part.terms.items() if p.first_arrow == a}
             for p in returning:
                 if p.last_arrow != a:
@@ -329,7 +367,7 @@ def _radical_tower(f):
         # stage C: the rest of the level must be left maximal; exponentiate away
         m_assign = []
         for a in sorted(algebra.quiver.arrow_by_name):
-            part = (current.arrow_images[a] - algebra.arrow(a)).degree_part(n)
+            part = current.arrow_images[a].degree_part(n)
             for p in part.terms:
                 if p.first_arrow == a:
                     raise DecompositionError(
@@ -443,6 +481,7 @@ def decompose_general(f):
         u2_inverse = u2_inverse + (unit_i.inverse - one)
     u2 = Unit(u2_value, u2_inverse)
     g2 = inner_automorphism(u2.swapped()).compose(g1)
+    # the block units' one conjugation check: each block is fixed on g2
     for a in sorted(algebra.cycle_arrows()):
         if g2.arrow_images[a] != algebra.arrow(a):
             raise DecompositionError(f"block correction left arrow {a} moved")

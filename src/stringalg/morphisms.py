@@ -460,9 +460,12 @@ def invert_unit(u):
     """Two-sided inverse of an element, or NotAUnitError naming the failure.
 
     The degree-zero part `low` must have a nonzero coefficient at every
-    vertex; then u = low * (1 + y).  The inverse of 1 + y is one power series
-    in the x-degree, which adds up under products.  The part y_0 of x-degree
-    0 is nilpotent, so v_0 = (1 + y_0)^-1 is a terminating geometric series,
+    vertex; then u = low * (1 + y).  When low is 1, as for every unit
+    congruent to 1, the shared `one()` stands for low^-1 and y is u - 1:
+    no Fraction is built and no product by low^-1 is made.  The inverse of
+    1 + y is one power series in the x-degree, which adds up under
+    products.  The part y_0 of x-degree 0 is nilpotent, so
+    v_0 = (1 + y_0)^-1 is a terminating geometric series,
     and each further level is v_m = -v_0 * sum of y_k * v_(m-k) over
     1 <= k <= min(m, d), d the largest x-degree in y.  A unit's inverse has
     x-degree at most (n - 1) * d, n the longest cycle (the adjugate bound for
@@ -470,15 +473,19 @@ def invert_unit(u):
     zero levels in a row by level n * d, or u is not a unit.
     """
     algebra = u.algebra
-    low = u.degree_part(0)
-    coeffs = {p.vertex: c for p, c in low.terms.items()}
-    missing = [v for v in algebra.quiver.vertices if not coeffs.get(v)]
-    if missing:
-        raise NotAUnitError(f"degree-0 part vanishes at vertex {missing[0]}")
-    low_inv = algebra.element(
-        {Path.stationary(v): Fraction(1) / coeffs[v] for v in algebra.quiver.vertices})
+    low, one = u.degree_part(0), algebra.one()
+    if low == one:
+        low_inv, y = one, u - one
+    else:
+        coeffs = {p.vertex: c for p, c in low.terms.items()}
+        missing = [v for v in algebra.quiver.vertices if not coeffs.get(v)]
+        if missing:
+            raise NotAUnitError(f"degree-0 part vanishes at vertex {missing[0]}")
+        low_inv = algebra.element(
+            {Path.stationary(v): Fraction(1) / coeffs[v] for v in algebra.quiver.vertices})
+        y = low_inv * (u - low)
     parts = {}
-    for p, c in (low_inv * (u - low)).terms.items():
+    for p, c in y.terms.items():
         parts.setdefault(algebra.x_degree(p), {})[p] = c
     v0 = geometric_inverse(algebra.element(parts.pop(0, {})))
     levels = [v0]

@@ -110,6 +110,36 @@ def test_unit_element():
             assert x * one == x
 
 
+def test_products_with_the_shared_one_return_the_other_factor(monkeypatch):
+    # the shared one() is 1 by construction: a product with it is the other
+    # factor itself, with no concat; an element that merely equals 1 is
+    # multiplied out
+    calls = []
+    concat = algebra_module.PathAlgebra.concat
+    monkeypatch.setattr(algebra_module.PathAlgebra, "concat",
+                        lambda algebra, p, q: calls.append((p, q)) or concat(algebra, p, q))
+    rng = random.Random(29)
+    for name, source in SOURCES.items():
+        algebra = make_algebra(source)
+        one, basis = algebra.one(), algebra.enumerate_basis(4)
+        equal_one = algebra.element(dict(one.terms))
+        assert equal_one == one and equal_one is not one
+        assert one * one is one
+        for x in [algebra.zero()] + [_random_element(rng, algebra, basis)
+                                     for _ in range(3)]:
+            calls.clear()
+            assert x * one is x and one * x is x, name
+            assert calls == [], name
+            right, left = x * equal_one, equal_one * x
+            assert right == x and left == x, name
+            # one composable pair per term of x on each side
+            assert len(calls) == 2 * len(x.terms), name
+    # the shared one of another algebra is still refused
+    other = make_algebra(TWO_CYCLE_REL)
+    with pytest.raises(ValueError):
+        make_algebra(FREE_LOOP).one() * other.one()
+
+
 def test_grading():
     rng = random.Random(13)
     for name in ("two_cycle_rel", "cycle_with_diamond", "two_loops"):

@@ -14,7 +14,7 @@ from stringalg.polymat import MAX_PARSE_DEGREE, Poly, PolyMatrix, _pairs, format
 
 from conftest import (CYCLE_PENDANT, DOUBLED_THREE_CYCLE, FREE_LOOP, KRONECKER,
                       LOOP_X70, ONE_LOOP, TWO_CYCLE_FREE, TWO_CYCLE_REL, make_algebra)
-from test_compose import wrong_unit_tower
+from test_compose import wrong_block_unit, wrong_unit_tower
 
 EXAMPLE_MATRIX = """6*x^3 - 4*x^2, -3*x + 2, 9*x^2 - 4
 2*x^2 - 1, -1, 3*x + 2
@@ -293,6 +293,17 @@ def test_decompose_intertwiner_above_the_size_cap_at_a_grown_degree(
                             "cap of 300\n")
     algebra = make_algebra(TWO_CYCLE_FREE)
     assert sorted(algebra.x_degree(p) for p in reduced) == [0, 1, 1, 1, 1]
+
+
+def test_decompose_wrong_block_unit_exits_3(files, capsys, monkeypatch):
+    # the block solve returns a unit that does not conjugate the block: the
+    # check after the block correction names the arrow left moved
+    wrong_block_unit(monkeypatch, "a")
+    q = files("q.quiver", TWO_CYCLE_FREE)
+    assert run(["decompose", q, files("bab.map", CONJUGATION_BAB)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: block correction left arrow a moved\n"
 
 
 def test_decompose_block_without_a_unit_up_to_its_bound(files, capsys):

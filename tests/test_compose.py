@@ -136,6 +136,19 @@ def wrong_unit_tower(monkeypatch):
     monkeypatch.setattr(decompose, "_tower_factors", wrong)
 
 
+def wrong_block_unit(monkeypatch, arrow):
+    """Make every intertwiner solve return its unit times 1 + arrow, for an
+    arrow whose square is zero: still a unit, but not central, so the
+    product does not conjugate as the solved unit does."""
+    solve = decompose._solve_intertwiner
+
+    def wrong(images, supports):
+        u = solve(images, supports)
+        return u * (u.algebra.one() + u.algebra.arrow(arrow))
+
+    monkeypatch.setattr(decompose, "_solve_intertwiner", wrong)
+
+
 def test_wrong_inner_factor_fails_recomposition(monkeypatch):
     f = next(iter(_criterion_5_items(1)))
     wrong_unit_tower(monkeypatch)

@@ -9,7 +9,7 @@ from stringalg.decompose import (ENDPOINT_PRESERVING, EXP_MAXIMAL, GRADED,
                                  INNER, decompose_general, decompose_string,
                                  outer_class, peel_maximal,
                                  solve_conjugation_unique_max, _solve_inner_match)
-from stringalg import PathAlgebra
+from stringalg import Path, PathAlgebra
 from stringalg._linalg import Echelon
 from stringalg.errors import CertificationError, DecompositionError, ShapeError
 from stringalg.maximal import parallel_maximal
@@ -21,7 +21,7 @@ from conftest import FREE_LOOP, SOURCES, make_algebra
 from factories import (derivation_targets, elementary_unit_paths,
                        random_graded_identity_automorphism, random_graded_symmetric,
                        random_inner, random_unit_factors, unit_product)
-from test_compose import _criterion_5_items
+from test_compose import _criterion_5_items, wrong_block_unit
 from test_random_presentations import random_presentation
 import reference
 
@@ -310,6 +310,78 @@ def test_dependent_column_keeps_coefficient_zero(monkeypatch):
     v = decompose._solve_intertwiner(images, [support[::-1]])
     assert inner_automorphism(invert_unit(v)) == inner_automorphism(unit)
     assert all(w not in v.terms for w, relation in added if relation is not None)
+
+
+def test_bucketed_columns_match_the_all_pairs_build(monkeypatch):
+    # on every block system of the first 12 criterion-5 items, reading each
+    # support path's two buckets gives the columns of trying every image
+    # term against it, and the same unit as the from-scratch solve
+    calls = recorded_solves(monkeypatch)
+    for f in _criterion_5_items(12):
+        decompose_general(f)
+    blocks = [(images, drawn, u) for images, drawn, u, _, block in calls if block]
+    assert len(blocks) >= 12
+    for images, drawn, u in blocks:
+        generators = list(images)
+        column = decompose._intertwiner_columns(images)
+        for w in (w for batch in drawn for w in batch):
+            assert {(generators[k], p): c for (k, p), c in column(w).items()} == \
+                reference.intertwiner_column(images, w)
+        assert reference.least_degree_unit(images, drawn)[0] == u
+
+
+def _after(algebra, p):
+    """The arrows that extend the nonstationary basis path p to a basis
+    path, read off the ideal: at most one in a string algebra."""
+    return {b.name for b in algebra.quiver.arrows
+            if not algebra.in_ideal(Path.of(p.arrows + (b.name,)))}
+
+
+def test_solve_offers_concat_only_pairs_that_can_meet(monkeypatch):
+    # inside the intertwiner solve, concat(w, p) is called only for p
+    # stationary at w's target or starting with the arrow after w
+    offered, solving = [], []
+    concat, solve = PathAlgebra.concat, decompose._solve_intertwiner
+
+    def counted(algebra, p, q):
+        if solving:
+            offered.append((algebra, p, q))
+        return concat(algebra, p, q)
+
+    def flagged(images, supports):
+        solving.append(True)
+        try:
+            return solve(images, supports)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(PathAlgebra, "concat", counted)
+    monkeypatch.setattr(decompose, "_solve_intertwiner", flagged)
+    for f in _criterion_5_items(12):
+        decompose_general(f)
+    assert len(offered) > 500
+    for algebra, p, q in offered:
+        if q.is_stationary:
+            assert q.vertex == algebra.quiver.path_target(p)
+        else:
+            assert not p.is_stationary and q.first_arrow in _after(algebra, p)
+            assert algebra.next_arrow(p) == q.first_arrow
+    assert sum(concat(a, p, q) is None for a, p, q in offered) < len(offered) / 5
+
+
+def test_wrong_block_unit_is_caught(monkeypatch, cycle_free):
+    # _block_unit does not check its conjugation: decompose_general finds a
+    # cycle arrow moved after the block correction, and
+    # solve_conjugation_unique_max compares the conjugation with its input
+    f = certified(cycle_free, "map e_1 = 1*e_1 - 2*b.a.b\nmap e_2 = 1*e_2 + 2*b.a.b\n"
+                  "map a = 1*a + 2*a.b.a.b - 2*b.a.b.a - 4*b.a.b.a.b.a.b")
+    assert decompose_general(f).compose() == f
+    assert inner_automorphism(solve_conjugation_unique_max(f)) == f
+    wrong_block_unit(monkeypatch, "a")
+    with pytest.raises(DecompositionError, match="^block correction left arrow a moved$"):
+        decompose_general(f)
+    with pytest.raises(DecompositionError, match="^conjugation verification failed$"):
+        solve_conjugation_unique_max(f)
 
 
 def test_solver_rejects_polynomial_ring(poly_ring):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from stringalg import Path
+from stringalg import Path, decompose
 from stringalg.algebra import Element
 from stringalg.errors import (CapExceededError, CertificationError,
                               DerivationError, ElementFormatError, NotAUnitError)
@@ -25,6 +25,8 @@ from factories import (derivation_targets, elementary_unit_paths,
                        random_exponential, random_graded_identity_automorphism,
                        random_inner, random_unit_factors, unit_product)
 from test_acceptance import TWO_CYCLES_BRIDGE
+from test_compose import _criterion_5_items
+import reference
 
 
 def ex46_inner_map(algebra):
@@ -488,6 +490,38 @@ def test_invert_unit_general_degree_zero_part(ex_string):
          + ex_string.arrow("a"))
     u = invert_unit(x)
     assert u.value * u.inverse == ex_string.one()
+
+
+def test_invert_unit_matches_the_normalising_reference(monkeypatch):
+    # the units the decomposition inverts on the first 12 criterion-5 items
+    # have degree-zero part 1, so invert_unit takes the shared one() as
+    # low^-1 and builds no Fraction; the reference always multiplies by a
+    # low^-1 built afresh.  Scaled by a vertex torus element they take the
+    # general branch
+    units = []
+    monkeypatch.setattr(decompose, "invert_unit",
+                        lambda u: units.append(u) or invert_unit(u))
+    for f in _criterion_5_items(12):
+        decompose.decompose_general(f)
+    monkeypatch.undo()
+    assert len(units) > 12 and any(u != u.algebra.one() for u in units)
+    built = []
+    new = Fraction.__new__
+    for u in units:
+        algebra = u.algebra
+        assert u.degree_part(0) == algebra.one()
+        expected = reference.invert_unit(u)
+        monkeypatch.setattr(Fraction, "__new__",
+                            lambda cls, *args, **kwargs: built.append(args)
+                            or new(cls, *args, **kwargs))
+        got = invert_unit(u)
+        monkeypatch.undo()
+        assert (got.value, got.inverse) == (expected.value, expected.inverse)
+        torus = algebra.element({Path.stationary(v): k + 2 for k, v in
+                                 enumerate(sorted(algebra.quiver.vertices))})
+        got, expected = invert_unit(torus * u), reference.invert_unit(torus * u)
+        assert (got.value, got.inverse) == (expected.value, expected.inverse)
+    assert built == []
 
 
 def test_inner_automorphism_examples(ex_string, cycle_free):
