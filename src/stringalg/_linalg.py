@@ -9,11 +9,12 @@ reduced once against each new pivot, so it carries over as columns are
 added.  Columns are dicts {row: value} of their nonzero entries.
 
 The elimination is fraction-free.  A rational column is scaled to integers
-by its common denominator.  A pivot p that does not divide the entry f it
-clears scales the column by p / gcd(p, f) instead of dividing, and the
-column and its combination are then divided by their common content.  So
-no `Fraction` is built on integral input: Fractions appear only in a
-returned value that is not an integer.
+by its common denominator.  A new pivot sits in the first row its reduced
+column holds.  Every entry f at a pivot p is cleared by one rule: the column
+becomes m * column - f' * pivot column, with g = gcd(p, f), m = p / g and
+f' = f / g, and when some m was not 1 or -1 the column and its combination
+are divided by their common content.  So no `Fraction` is built on integral
+input: Fractions appear only in a returned value that is not an integer.
 
 An unknown whose column depends on the ones before it keeps coefficient 0,
 so with free unknowns the solution follows insertion order.  `_rref`, the
@@ -46,9 +47,7 @@ class Echelon:
         vector, combination = _reduce(*_integral(unknown, column), self.pivots)
         if not vector:
             return combination
-        # a pivot of 1 or -1 reduces later columns without scaling them
-        row = next((r for r, v in vector.items() if v == 1 or v == -1), next(iter(vector)))
-        self.pivots.append((row, vector, combination))
+        self.pivots.append((next(iter(vector)), vector, combination))
         if self.residual[0]:
             _reduce(*self.residual, self.pivots[-1:])
         return None
@@ -80,12 +79,9 @@ def _reduce(vector, combination, pivots):
         if not f:
             continue
         p = column[row]
-        if p == 1 or p == -1:
-            m, f = 1, f * p
-        else:
-            g = gcd(p, f)
-            m, f = p // g, f // g
-            scaled = scaled or m not in (1, -1)
+        g = gcd(p, f)
+        m, f = p // g, f // g
+        scaled = scaled or m not in (1, -1)
         _combine(vector, m, f, column)
         _combine(combination, m, f, relation)
     if scaled:

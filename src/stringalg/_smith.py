@@ -49,6 +49,13 @@ def factorizations(start):
     start (entries (den, numerators)); see reconstruct for their form, and
     compose for U and V.
 
+    Each prime's images are grouped with those of equal traces.  Once the
+    largest group has enough primes, reconstruct rebuilds the levels they
+    determine; those are kept, and the elimination resumes from the block
+    the last of them leaves, with every image cut to the levels after it.
+    A round that leaves levels open asks for a quarter more primes, plus
+    one, in the group of the next.
+
     Each further candidate requested means the previous one failed its
     certificate; the elimination then starts over with further primes.
     Raises CapExceededError once every prime of the table is drawn: their
@@ -65,7 +72,7 @@ def factorizations(start):
     done = []                   # exact levels, in order
     block, rows, cols = start, everything, everything
     images = []                 # (prime, images of the levels from block on)
-    probe, attempt = None, 1
+    attempt = 1
     for p in primes():
         image = smith_image(block, rows, cols, p)
         if image is None:
@@ -76,7 +83,7 @@ def factorizations(start):
         if counts[key] < attempt or counts[key] < max(counts.values()):
             continue
         group = [(q, levels) for q, levels in images if _traces(levels) == key]
-        levels, probe = reconstruct(group, len(done), probe)
+        levels = reconstruct(group)
         done += levels
         if len(levels) < len(image):
             if levels:
@@ -260,39 +267,31 @@ def quotient(a, b, inv, p, drop_constant):
 # -- rebuilding exact values from their images --------------------------------------
 
 
-def reconstruct(group, first, probe):
+def reconstruct(group):
     """Exact levels from the images in group: pairs of a prime and its
-    level images, all with the same traces, the first being level first.
+    level images, all with the same traces.
 
-    Returns (levels, probe): the exact levels rebuilt before the first one
-    the primes do not determine yet, each as (rows, cols, left, right,
-    pivot, end, next rows, next cols) with left and right as (den,
-    numerators), pivot as (row, column, (den, numerators)) and end a
-    matrix of (den, numerators); probe names the part that failed, which is
-    tried first next time."""
+    Returns the exact levels rebuilt before the first one the primes do not
+    determine yet, each as (rows, cols, left, right, pivot, end, next rows,
+    next cols) with left and right as (den, numerators), pivot as (row,
+    column, (den, numerators)) and end a matrix of (den, numerators).  Each
+    call rebuilds from the first level of group, so a level that failed
+    before is tried again in full once more primes are in."""
     lift = Lift([p for p, _ in group])
-
-    def parts(k):
-        images = [levels[k] for _, levels in group]
-        out = {}
-        if images[0][3] is not None:
-            out["left"] = [[f for row in img[3] for f in row] for img in images]
-            out["right"] = [[f for row in img[4] for f in row] for img in images]
-        if images[0][5] is not None:
-            out["rest"] = [[img[5][2]] + [f for row in img[6] for f in row] for img in images]
-        return out
-
-    if probe is not None and first <= probe[0] < first + len(group[0][1]):
-        images = parts(probe[0] - first).get(probe[1])
-        if images is not None and rebuild(images, lift) is None:
-            return [], probe
     exact = []
-    for k, (_, rows, cols, _, _, pivot, _) in enumerate(group[0][1]):
+    for k, (_, rows, cols, left, _, pivot, _) in enumerate(group[0][1]):
+        images = [levels[k] for _, levels in group]
+        parts = {}
+        if left is not None:
+            parts["left"] = [[f for row in img[3] for f in row] for img in images]
+            parts["right"] = [[f for row in img[4] for f in row] for img in images]
+        if pivot is not None:
+            parts["rest"] = [[img[5][2]] + [f for row in img[6] for f in row] for img in images]
         built = {}
-        for name, images in parts(k).items():
-            built[name] = rebuild(images, lift)
+        for name, part in parts.items():
+            built[name] = rebuild(part, lift)
             if built[name] is None:
-                return exact, (first + k, name)
+                return exact
         if pivot is None:
             exact.append((rows, cols, built.get("left"), built.get("right"), None, [], (), ()))
             break
@@ -305,7 +304,7 @@ def reconstruct(group, first, probe):
         exact.append((rows, cols, built.get("left"), built.get("right"), (i0, j0, polys[0]),
                       [polys[1 + a * width:1 + (a + 1) * width] for a in range(len(next_rows))],
                       next_rows, next_cols))
-    return exact, probe
+    return exact
 
 
 class Lift:
@@ -446,9 +445,7 @@ def product_equals(u, d, sigma, v, m):
     vrows = [over_common(v[sigma[k]]) for k in range(n)]
     ks = [k for k in range(n) if d[k][1]]
     dens = {k: ucols[k][0] * d[k][0] * vrows[k][0] for k in ks}
-    den = 1
-    for x in dens.values():
-        den = den // math.gcd(den, x) * x
+    den = math.lcm(*dens.values())
     scales = {k: den // x for k, x in dens.items()}
     counts = [[max(len(m[i][j][1]),
                    1 + max((len(ucols[k][1][i][1]) + len(d[k][1]) + len(vrows[k][1][j][1]) - 3
@@ -479,10 +476,7 @@ def product_equals(u, d, sigma, v, m):
 def over_common(polys):
     """(den, [(multiplier, numerators)]): the polynomials over their least
     common denominator."""
-    den = 1
-    for d, nums in polys:
-        if nums:
-            den = den // math.gcd(den, d) * d
+    den = math.lcm(*(d for d, nums in polys if nums))
     return den, [(den // d, nums) for d, nums in polys]
 
 

@@ -187,10 +187,10 @@ class PathAlgebra:
             raise ValueError(f"unknown arrow {name}")
         return self._shared(("arrow", name), lambda: [self.walk_path(name, 1)])
 
-    def path_element(self, path, coeff=1):
+    def path_element(self, path):
         if not isinstance(path, Path):
             path = Path.of(path)
-        return Element(self, {path: coeff})
+        return Element(self, {path: 1})
 
     def element(self, terms):
         return Element(self, terms)
@@ -330,13 +330,12 @@ class PathAlgebra:
         return sorted(out)
 
     def is_finite_dimensional(self):
-        """(finite?, dimension) with dimension None in the infinite case."""
-        if self.infinite_cycles():
-            return False, None
-        return True, self.dimension()
+        """(finite?, dimension) with dimension None in the infinite case, as
+        validation classified the presentation from its walk table."""
+        return self.presentation.is_finite_dimensional, self.dimension()
 
     def dimension(self):
-        if self.infinite_cycles():
+        if not self.presentation.is_finite_dimensional:
             return None
         return len(self.quiver.vertices) + sum(len(walk) for walk, _ in self._walks.values())
 

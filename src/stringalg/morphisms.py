@@ -460,11 +460,11 @@ def invert_unit(u):
     """Two-sided inverse of an element, or NotAUnitError naming the failure.
 
     The degree-zero part `low` must have a nonzero coefficient at every
-    vertex; then u = low * (1 + y).  When low is 1, as for every unit
-    congruent to 1, the shared `one()` stands for low^-1 and y is u - 1:
-    no Fraction is built and no product by low^-1 is made.  The inverse of
-    1 + y is one power series in the x-degree, which adds up under
-    products.  The part y_0 of x-degree 0 is nilpotent, so
+    vertex; then u = low * (1 + y) with y = low^-1 * (u - low).  When low is
+    1, as for every unit congruent to 1, low^-1 is the shared `one()`, so
+    no Fraction is built and the products by it return the other factor.
+    The inverse of 1 + y is one power series in the x-degree, which adds up
+    under products.  The part y_0 of x-degree 0 is nilpotent, so
     v_0 = (1 + y_0)^-1 is a terminating geometric series,
     and each further level is v_m = -v_0 * sum of y_k * v_(m-k) over
     1 <= k <= min(m, d), d the largest x-degree in y.  A unit's inverse has
@@ -474,16 +474,13 @@ def invert_unit(u):
     """
     algebra = u.algebra
     low, one = u.degree_part(0), algebra.one()
-    if low == one:
-        low_inv, y = one, u - one
-    else:
-        coeffs = {p.vertex: c for p, c in low.terms.items()}
-        missing = [v for v in algebra.quiver.vertices if not coeffs.get(v)]
-        if missing:
-            raise NotAUnitError(f"degree-0 part vanishes at vertex {missing[0]}")
-        low_inv = algebra.element(
-            {Path.stationary(v): Fraction(1) / coeffs[v] for v in algebra.quiver.vertices})
-        y = low_inv * (u - low)
+    coeffs = {p.vertex: c for p, c in low.terms.items()}
+    missing = [v for v in algebra.quiver.vertices if not coeffs.get(v)]
+    if missing:
+        raise NotAUnitError(f"degree-0 part vanishes at vertex {missing[0]}")
+    low_inv = one if low == one else algebra.element(
+        {Path.stationary(v): Fraction(1) / coeffs[v] for v in algebra.quiver.vertices})
+    y = low_inv * (u - low)
     parts = {}
     for p, c in y.terms.items():
         parts.setdefault(algebra.x_degree(p), {})[p] = c

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (CapExceededError, InvariantError, MatrixFormatError,
                      NotInvertibleError)
@@ -22,23 +22,21 @@ class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
     Stored as an integer coefficient vector over one shared positive
-    denominator, normalized so their collective content is 1.  Sums and
-    products are integer work plus one gcd pass; `divmod` is plain long
-    division over the rational coefficients, `exact_div` pseudo-division in
-    integers.  Canonical form: no trailing
-    zero coefficients; the zero polynomial has an empty vector and degree
-    -1 (the distinguished marker).
+    denominator, normalized so their collective content is 1.  The
+    denominator of given coefficients is one `math.lcm` over theirs, and the
+    content one `math.gcd` over the denominator and every numerator, so sums
+    and products are integer work plus that one gcd call; `divmod` is plain
+    long division over the rational coefficients, `exact_div`
+    pseudo-division in integers.  Canonical form: no trailing zero
+    coefficients; the zero polynomial has an empty vector and degree -1 (the
+    distinguished marker).
     """
 
     __slots__ = ("den", "nums")
 
     def __init__(self, coeffs=()):
         fracs = [Fraction(c) for c in coeffs]
-        den = 1
-        for c in fracs:
-            d = c.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
+        den = lcm(*(c.denominator for c in fracs))
         nums = [c.numerator * (den // c.denominator) for c in fracs]
         self.den, self.nums = _poly_normalize(den, nums)
 
@@ -184,15 +182,7 @@ def _poly_normalize(den, nums):
         nums.pop()
     if not nums:
         return 1, ()
-    # start the content chain at the smallest coefficient: when the content
-    # is 1 (the usual case) a single cheap gcd settles it
-    smallest = min((v for v in nums if v), key=lambda v: abs(v).bit_length())
-    g = gcd(den, smallest)
-    if g != 1:
-        for v in nums:
-            g = gcd(g, v)
-            if g == 1:
-                break
+    g = gcd(den, *nums)
     if den < 0:
         g = -g
     if g != 1:

@@ -154,9 +154,8 @@ class Quiver:
                 and all(self.target(x) == self.source(y) for x, y in zip(arrows, arrows[1:])))
 
     def is_connected(self):
-        """Connectivity of the underlying undirected graph over all vertices."""
-        if not self.vertices:
-            return False
+        """Connectivity of the underlying undirected graph over all vertices
+        (never empty: a quiver has an arrow, and its endpoints are vertices)."""
         adj = {v: set() for v in self.vertices}
         for a in self.arrows:
             adj[a.source].add(a.target)

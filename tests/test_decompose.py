@@ -292,6 +292,19 @@ def test_growing_solve_matches_the_reference(monkeypatch):
     assert len(blocks) > 100 and max(blocks) >= 5 and len(calls) > len(blocks)
 
 
+def test_largest_criterion_5_block_matches_the_reference(monkeypatch):
+    # item 81 of the criterion-5 stream holds its largest block system: the
+    # one growing echelon, whatever row it pivots on, gives the from-scratch
+    # solve's unit at the same least degree
+    f = list(_criterion_5_items(82))[81]
+    calls = recorded_solves(monkeypatch)
+    assert decompose_general(f).compose() == f
+    assert [len(drawn) for _, drawn, _, _, block in calls if block] == [9]
+    for images, drawn, u, _, _ in calls:
+        assert reference.least_degree_unit(images, drawn) == \
+            ((None, None) if u is None else (u, len(drawn) - 1))
+
+
 def test_dependent_column_keeps_coefficient_zero(monkeypatch):
     # conjugation by a unit of a finite-dimensional algebra, solved on its
     # radical paths: central radical paths have dependent columns

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from stringalg import _smith
+from stringalg import _smith, cli
 from stringalg.polymat import (Poly, PolyMatrix, SmithFactorization, modified_smith,
                                parse_poly_matrix)
 
@@ -54,6 +54,37 @@ def _criterion_3_matrices():
 def large_items():
     matrices = list(_criterion_3_matrices())
     return {i: (matrices[i], modified_smith(matrices[i])) for i in CRITERION_3_GOLDENS}
+
+
+# a 3 x 3 matrix with coefficients of up to 843 bits whose factors reach 6,324
+# bits: its primes settle the first level before the others, so the
+# elimination resumes from a partly rebuilt factorization; the digest is of
+# `stringalg smith`'s stdout
+A, B = 3 ** 400, 7 ** 300
+RESUMED_MATRIX = (f"{A}*x^2 + x + 1, 2*x - {B}, x^3 + 5; x - 1, {B}*x^2 + 3, {A}*x; "
+                  f"4, x^2 + {A}, {B}\n")
+RESUMED_STDOUT_SHA256 = "01a496edaf780dcc9b19d90984d5b6f004afc4c599b9655af4eaec4d3bfe312e"
+
+
+def test_resumed_reconstruction_golden(tmp_path, capsys, monkeypatch):
+    rounds = []     # (levels imaged, levels rebuilt) of each reconstruct call
+    reconstruct = _smith.reconstruct
+
+    def recording(group):
+        levels = reconstruct(group)
+        rounds.append((len(group[0][1]), len(levels)))
+        return levels
+
+    monkeypatch.setattr(_smith, "reconstruct", recording)
+    path = tmp_path / "resumed.mat"
+    path.write_text(RESUMED_MATRIX, encoding="utf-8")
+    assert cli.run(["smith", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\nverified: true\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == RESUMED_STDOUT_SHA256
+    # some round rebuilt part of its levels, and a later one resumed after it
+    partial = next(i for i, (imaged, rebuilt) in enumerate(rounds) if 0 < rebuilt < imaged)
+    assert rounds[-1][0] < rounds[partial][0] and rounds[-1][0] == rounds[-1][1]
 
 
 def test_worked_matrix_golden():
