@@ -1,5 +1,7 @@
 """Element arithmetic, basis enumeration, and the element text format."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -98,6 +100,22 @@ def test_associativity_on_random_elements():
             y = _random_element(rng, algebra, basis)
             z = _random_element(rng, algebra, basis)
             assert (x * y) * z == x * (y * z), name
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_elements_keyed_by_an_equal_path_multiply_alike(name):
+    """An element keyed by a pickled, copied or rebuilt path has the same
+    products as one keyed by the algebra's own basis path."""
+    algebra = make_algebra(SOURCES[name])
+    routes = (lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy,
+              lambda p: Path.of(p.arrows) if p.arrows else Path.stationary(p.vertex))
+    basis = algebra.enumerate_basis(3)
+    for p in basis:
+        for q in basis:
+            expected = (algebra.element({p: 1}) * algebra.element({q: 2})).terms
+            for route in routes:
+                x = algebra.element({route(p): 1}) * algebra.element({route(q): 2})
+                assert x.terms == expected, (name, str(p), str(q))
 
 
 def test_unit_element():

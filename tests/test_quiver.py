@@ -14,7 +14,7 @@ from stringalg import Path, PathAlgebra, parse_element, parse_quiver
 from stringalg.errors import QuiverFormatError
 from stringalg.quiver import AlgebraPresentation, Quiver, RelationSet
 
-from conftest import KRONECKER, ONE_LOOP, SOURCES, TWO_CYCLE_REL
+from conftest import FREE_LOOP, KRONECKER, ONE_LOOP, SOURCES, TWO_CYCLE_REL
 from test_validate_reference import random_relation_presentation
 
 
@@ -261,6 +261,27 @@ def test_path_ordering_and_subpath():
     assert ab.contains(a)
     assert not a.contains(ab)
     assert Path.of(("a", "b", "a", "b")).contains(ab)
+
+
+def _explicit_key(p):
+    return (len(p.arrows), *p.arrows) if p.arrows else (0, p.vertex)
+
+
+@pytest.mark.parametrize("source", list(SOURCES.values()) + [FREE_LOOP],
+                         ids=list(SOURCES) + ["free_loop"])
+def test_basis_order_is_length_then_arrows(source):
+    """The canonical order: stationary paths first, by vertex name, then
+    paths by length and arrow names."""
+    basis = PathAlgebra(parse_quiver(source)).enumerate_basis(6)
+    expected = sorted(basis, key=_explicit_key)
+    assert basis == expected
+    assert sorted(random.Random(len(basis)).sample(basis, len(basis))) == expected
+
+
+def test_path_text():
+    e, ab = Path.stationary("1"), Path.of(("a", "b"))
+    assert (str(e), repr(e)) == ("e_1", "Path(arrows=(), vertex='1')")
+    assert (str(ab), repr(ab)) == ("a.b", "Path(arrows=('a', 'b'), vertex=None)")
 
 
 def test_path_routes_agree_on_equality_and_hash():
