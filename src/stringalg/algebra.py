@@ -11,15 +11,18 @@ presentation is validated, and the algebra reads the presentation's table:
 a path is zero exactly when it is not a prefix of the walk from its first
 arrow, a product of basis paths is a basis path exactly when the joined
 arrows are, and the surviving cycles are the periodic walks.  Each basis
-path is built once per algebra and shared.
+path is built once per algebra and shared, and the algebra keeps the
+source and target of each in a table keyed by path, which products read.
 
-`Element(algebra, terms)` validates its terms.  Ring operations do not
-validate their results again: their terms are basis paths, as `concat`
-returns only those, so only zeros are dropped and integral Fractions made
-ints.  No code changes an element's terms in place, so each algebra builds
-`zero`, `one` and the generator elements once and shares them.  A product
-with the shared `one()` returns the other factor itself, with no
-concatenation; an element that merely equals 1 is multiplied out.
+`Element(algebra, terms)` validates its terms and maps each to the
+algebra's shared path equal to it, so an element's terms are always the
+algebra's own paths.  Ring operations do not validate their results again:
+their terms are shared basis paths, as `concat` returns only those, so only
+zeros are dropped and integral Fractions made ints.  No code changes an
+element's terms in place, so each algebra builds `zero`, `one` and the
+generator elements once and shares them.  A product with the shared
+`one()` returns the other factor itself, with no concatenation; an element
+that merely equals 1 is multiplied out.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ class Element:
 
     def __init__(self, algebra, terms):
         self.algebra = algebra
-        clean = ((p, _canonical(c)) for p, c in terms.items())
-        self.terms = {p: c for p, c in clean if c and not algebra.in_ideal(p)}
+        clean = ((algebra.basis_path(p), _canonical(c)) for p, c in terms.items())
+        self.terms = {p: c for p, c in clean if c and p is not None}
 
     @classmethod
     def _trusted(cls, algebra, terms):
@@ -86,14 +89,14 @@ class Element:
             return self
         if self is one:
             return other
-        quiver = self.algebra.quiver
+        ends = self.algebra._ends
         right = {}    # the right factor's terms by source vertex
         for q, d in other.terms.items():
-            right.setdefault(quiver.path_source(q), []).append((q, d))
-        concat, target = self.algebra.concat, quiver.path_target
+            right.setdefault(ends[q][0], []).append((q, d))
+        concat = self.algebra.concat
         terms = {}
         for p, c in self.terms.items():
-            for q, d in right.get(target(p), ()):
+            for q, d in right.get(ends[p][1], ()):
                 r = concat(p, q)
                 if r is not None:
                     terms[r] = terms[r] + c * d if r in terms else c * d
@@ -159,8 +162,10 @@ class PathAlgebra:
         self.relations = presentation.relations
         self._cache = {}
         self._walks = presentation.walks
-        # interned basis paths, by vertex or by (first arrow, length)
+        # interned basis paths, by vertex or by (first arrow, length), and
+        # (source, target) of each, by path
         self._paths = {v: Path.stationary(v) for v in self.quiver.vertices}
+        self._ends = {p: (v, v) for v, p in self._paths.items()}
 
     # -- construction helpers ------------------------------------------------
 
@@ -197,25 +202,48 @@ class PathAlgebra:
 
     # -- ideal and multiplication ---------------------------------------------
 
-    def in_ideal(self, path):
-        """A nonstationary path is zero unless it is the walk from its first
-        arrow, so a path whose arrows do not compose is zero as well."""
+    def basis_path(self, path):
+        """The algebra's shared basis path equal to `path`, or None when the
+        path is zero: a nonstationary path is zero unless it is the walk
+        from its first arrow, so a path whose arrows do not compose is zero
+        as well.  Raises ValueError naming an unknown vertex or arrow."""
         arrows = path.arrows
-        return bool(arrows) and arrows != self._walk(arrows[0], len(arrows))
+        if not arrows:
+            if path.vertex not in self.quiver.arrows_from:
+                raise ValueError(f"unknown vertex {path.vertex}")
+            return self._paths[path.vertex]
+        first, n = arrows[0], len(arrows)
+        if first in self._walks and arrows == self._walk(first, n):
+            return self.walk_path(first, n)
+        unknown = next((a for a in arrows if a not in self._walks), None)
+        if unknown is not None:
+            raise ValueError(f"unknown arrow {unknown}")
+        return None
+
+    def in_ideal(self, path):
+        """True when the path is zero in the algebra; see `basis_path`."""
+        return self.basis_path(path) is None
 
     def concat(self, p, q):
         """Concatenation of basis paths, or None when the product is zero:
         the walk from p's first arrow goes on along the walk from its next
-        arrow, so p·q is nonzero when q starts with that arrow and fits."""
-        if not p.arrows:
-            return q if p.vertex == self.quiver.path_source(q) else None
-        if not q.arrows:
-            return p if self.quiver.path_target(p) == q.vertex else None
-        first, n, length = p.arrows[0], len(p.arrows), len(p.arrows) + len(q.arrows)
+        arrow, so p·q is nonzero when q starts with that arrow and fits.
+        A path's first two entries are its length and its first arrow, or
+        0 and its vertex."""
+        n, first = p[0], p[1]
+        if not n:
+            return q if first == self._end_points(q)[0] else None
+        if not q[0]:
+            return p if self._end_points(p)[1] == q[1] else None
+        length = n + q[0]
         walk, periodic = self._walks[first]
-        if not periodic and length > len(walk) or walk[n % len(walk)] != q.arrows[0]:
+        if not periodic and length > len(walk) or walk[n % len(walk)] != q[1]:
             return None
         return self._paths.get((first, length)) or self.walk_path(first, length)
+
+    def _end_points(self, path):
+        """(source, target) of a basis path, from the algebra's table."""
+        return self._ends.get(path) or self._ends[self.basis_path(path)]
 
     def next_arrow(self, p):
         """The arrow after the nonstationary basis path p on the walk from
@@ -234,7 +262,8 @@ class PathAlgebra:
             walk = self._walk(arrow_name, length)
             if length < 1 or len(walk) != length:
                 raise ValueError(f"no basis path of length {length} from arrow {arrow_name}")
-            self._paths[key] = Path.of(walk)
+            path = self._paths[key] = Path.of(walk)
+            self._ends[path] = (self.quiver.source(arrow_name), self.quiver.target(walk[-1]))
         return self._paths[key]
 
     # -- structural maps (require the string overlap conditions) ---------------

@@ -40,37 +40,41 @@ class Arrow:
     target: str
 
 
-@dataclass(frozen=True, order=True)
-class Path:
+class Path(tuple):
     """A stationary path at a vertex or a nonempty sequence of arrow names.
 
-    Ordering is (length, arrow sequence), with stationary paths ordered by
-    vertex name; this is the canonical basis order used everywhere.  The
-    sort key also decides equality, so it is hashed once, when the path is
-    built, and a pickled path is built again rather than carrying that hash.
+    The path is the tuple (length, *arrows), or (0, vertex) when it is
+    stationary, so hashing, equality and ordering run on that tuple: the
+    canonical basis order used everywhere is by length, then arrow names,
+    with stationary paths ordered by vertex name.  A path equals the plain
+    tuple of its key.  `arrows`, `vertex`, `length`, `first_arrow` and
+    `last_arrow` are set once, when the path is built, and a pickled or
+    copied path is built again from its arrows or vertex.
     """
 
-    sort_key: tuple = field(init=False, repr=False)
-    arrows: tuple = ()
-    vertex: Optional[str] = None
+    def __new__(cls, arrows=(), vertex=None):
+        arrows = tuple(arrows)
+        if arrows and vertex is not None:
+            raise ValueError("composite path cannot carry a vertex")
+        if not arrows and vertex is None:
+            raise ValueError("stationary path needs a vertex")
+        self = super().__new__(cls, (len(arrows),) + arrows if arrows else (0, vertex))
+        self.arrows, self.vertex = arrows, vertex
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
-        if self.arrows:
-            if self.vertex is not None:
-                raise ValueError("composite path cannot carry a vertex")
-            object.__setattr__(self, "arrows", tuple(self.arrows))
-            object.__setattr__(self, "sort_key", (len(self.arrows),) + self.arrows)
-        else:
-            if self.vertex is None:
-                raise ValueError("stationary path needs a vertex")
-            object.__setattr__(self, "sort_key", (0, self.vertex))
-        object.__setattr__(self, "_hash", hash(self.sort_key))
-
-    def __hash__(self):
-        return self._hash
+        """Set the attributes read off the arrows; runs once per path built."""
+        arrows = self.arrows
+        self.length = len(arrows)
+        self.first_arrow = arrows[0] if arrows else None
+        self.last_arrow = arrows[-1] if arrows else None
 
     def __reduce__(self):
         return (Path.of, (self.arrows,)) if self.arrows else (Path.stationary, (self.vertex,))
+
+    def __repr__(self):
+        return f"Path(arrows={self.arrows!r}, vertex={self.vertex!r})"
 
     @staticmethod
     def stationary(vertex):
@@ -78,23 +82,11 @@ class Path:
 
     @staticmethod
     def of(arrows):
-        return Path(arrows=tuple(arrows))
+        return Path(arrows=arrows)
 
     @property
     def is_stationary(self):
         return not self.arrows
-
-    @property
-    def length(self):
-        return len(self.arrows)
-
-    @property
-    def first_arrow(self):
-        return self.arrows[0] if self.arrows else None
-
-    @property
-    def last_arrow(self):
-        return self.arrows[-1] if self.arrows else None
 
     def contains(self, other):
         """True when `other` occurs as a contiguous subpath."""

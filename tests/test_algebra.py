@@ -118,6 +118,13 @@ def test_elements_keyed_by_an_equal_path_multiply_alike(name):
                 assert x.terms == expected, (name, str(p), str(q))
 
 
+def test_element_terms_are_the_shared_basis_paths(ex_string):
+    x = ex_string.element({Path.of(("a", "b")): 1, Path.stationary("1"): 2,
+                           Path.of(("a", "a")): 3})
+    shared = (ex_string.stationary("1").sorted_terms()[0][0], ex_string.walk_path("a", 2))
+    assert [id(p) for p, _ in x.sorted_terms()] == [id(p) for p in shared]
+
+
 def test_unit_element():
     for source in SOURCES.values():
         algebra = make_algebra(source)

@@ -140,6 +140,15 @@ def test_unknown_generator_names():
     _raises(lambda: algebra.arrow("z"), ValueError, "unknown arrow z")
 
 
+def test_element_rejects_an_unknown_vertex_or_arrow():
+    algebra = make_algebra(TWO_CYCLE_FREE)
+    _raises(lambda: algebra.element({Path.stationary("zz"): 1}), ValueError,
+            "unknown vertex zz")
+    _raises(lambda: algebra.element({Path.of(("a", "q")): 1}), ValueError,
+            "unknown arrow q")
+    _raises(lambda: algebra.path_element(("q",)), ValueError, "unknown arrow q")
+
+
 def test_element_times_an_int_from_either_side():
     algebra = make_algebra(TWO_CYCLE_FREE)
     x = algebra.arrow("a") - algebra.path_element(("a", "b"))
