@@ -11,18 +11,23 @@ presentation is validated, and the algebra reads the presentation's table:
 a path is zero exactly when it is not a prefix of the walk from its first
 arrow, a product of basis paths is a basis path exactly when the joined
 arrows are, and the surviving cycles are the periodic walks.  Each basis
-path is built once per algebra and shared, and the algebra keeps the
-source and target of each in a table keyed by path, which products read.
+path is built once per algebra and shared, and the algebra keeps the path
+itself, its source and its target in a table keyed by path, which element
+construction and products read.
 
 `Element(algebra, terms)` validates its terms and maps each to the
-algebra's shared path equal to it, so an element's terms are always the
-algebra's own paths.  Ring operations do not validate their results again:
-their terms are shared basis paths, as `concat` returns only those, so only
-zeros are dropped and integral Fractions made ints.  No code changes an
-element's terms in place, so each algebra builds `zero`, `one` and the
-generator elements once and shares them.  A product with the shared
-`one()` returns the other factor itself, with no concatenation; an element
-that merely equals 1 is multiplied out.
+algebra's shared path equal to it, one table lookup for a path built
+before, so an element's terms are always the algebra's own paths.  Ring
+operations do not validate their results again, and each is one pass over
+its terms that calls out only to put a Fraction in canonical form or to
+build a basis path on its first use: a product groups the right factor by
+source vertex and extends each left path along its walk inline, so its
+terms are shared basis paths, and sums, differences and products only drop
+zeros and make integral Fractions ints.  No code changes an element's
+terms in place, so each algebra keeps `zero`, `one` and the generator
+elements in its cache, built on first use and read from it after.  A
+product with the shared `one()` returns the other factor itself; an
+element that merely equals 1 is multiplied out.
 """
 
 from __future__ import annotations
@@ -45,6 +50,15 @@ def _canonical(c):
     return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
+def _element_of(algebra, terms):
+    """Element of canonical nonzero coefficients on the algebra's shared
+    basis paths, taken as they are."""
+    out = Element.__new__(Element)
+    out.algebra = algebra
+    out.terms = terms
+    return out
+
+
 class Element:
     """Finite map from basis paths to nonzero rational coefficients."""
 
@@ -59,11 +73,8 @@ class Element:
     def _trusted(cls, algebra, terms):
         """Element of terms a ring operation built: zeros dropped, integral
         Fractions made ints, no other check."""
-        out = cls.__new__(cls)
-        out.algebra = algebra
-        out.terms = {p: c if type(c) is int else _canonical(c)
-                     for p, c in terms.items() if c}
-        return out
+        return _element_of(algebra, {p: c if type(c) is int else _canonical(c)
+                                     for p, c in terms.items() if c})
 
     # -- ring structure ----------------------------------------------------
 
@@ -71,36 +82,77 @@ class Element:
         self._check(other)
         terms = dict(self.terms)
         for p, c in other.terms.items():
-            terms[p] = terms[p] + c if p in terms else c
-        return Element._trusted(self.algebra, terms)
+            if p not in terms:
+                terms[p] = c
+                continue
+            c = terms[p] + c
+            if c:
+                terms[p] = c if type(c) is int else _canonical(c)
+            else:
+                del terms[p]
+        return _element_of(self.algebra, terms)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        terms = dict(self.terms)
+        for p, c in other.terms.items():
+            if p not in terms:
+                terms[p] = -c
+                continue
+            c = terms[p] - c
+            if c:
+                terms[p] = c if type(c) is int else _canonical(c)
+            else:
+                del terms[p]
+        return _element_of(self.algebra, terms)
 
     def __neg__(self):
-        return Element._trusted(self.algebra, {p: -c for p, c in self.terms.items()})
+        return _element_of(self.algebra, {p: -c for p, c in self.terms.items()})
 
     def __mul__(self, other):
+        """The product, read off the walks: p·q is q when p is stationary,
+        p when q is, and otherwise the walk from p's first arrow cut to the
+        joined length, when q starts with the arrow after p on that walk
+        and the joined length fits it."""
         if type(other) is not Element and isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        one = self.algebra.one()
+        algebra = self.algebra
+        one = algebra._cache.get("one")
         if other is one:
             return self
         if self is one:
             return other
-        ends = self.algebra._ends
+        basis = algebra._basis
         right = {}    # the right factor's terms by source vertex
         for q, d in other.terms.items():
-            right.setdefault(ends[q][0], []).append((q, d))
-        concat = self.algebra.concat
-        terms = {}
+            right.setdefault(basis[q][1], []).append((q, d))
+        walks, paths, terms = algebra._walks, algebra._paths, {}
         for p, c in self.terms.items():
-            for q, d in right.get(ends[p][1], ()):
-                r = concat(p, q)
-                if r is not None:
-                    terms[r] = terms[r] + c * d if r in terms else c * d
-        return Element._trusted(self.algebra, terms)
+            pairs = right.get(basis[p][2])
+            if pairs is None:
+                continue
+            n, first = p[0], p[1]
+            if not n:
+                for q, d in pairs:
+                    d *= c
+                    terms[q] = terms[q] + d if q in terms else d
+                continue
+            walk, periodic = walks[first]
+            size = len(walk)
+            after = walk[n % size] if periodic or n < size else None
+            for q, d in pairs:
+                m = q[0]
+                if not m:
+                    r = p
+                elif q[1] != after or not periodic and n + m > size:
+                    continue
+                else:
+                    r = paths.get((first, n + m)) or algebra.walk_path(first, n + m)
+                d *= c
+                terms[r] = terms[r] + d if r in terms else d
+        return _element_of(algebra, {r: c if type(c) is int else _canonical(c)
+                                     for r, c in terms.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -129,8 +181,8 @@ class Element:
         return not self.terms
 
     def degree_part(self, n):
-        return Element._trusted(self.algebra,
-                                {p: c for p, c in self.terms.items() if p.length == n})
+        return _element_of(self.algebra,
+                           {p: c for p, c in self.terms.items() if p.length == n})
 
     def min_degree(self):
         """Lowest degree with a nonzero term; None for the zero element."""
@@ -163,34 +215,43 @@ class PathAlgebra:
         self._cache = {}
         self._walks = presentation.walks
         # interned basis paths, by vertex or by (first arrow, length), and
-        # (source, target) of each, by path
+        # (the path itself, source, target) of each, by path
         self._paths = {v: Path.stationary(v) for v in self.quiver.vertices}
-        self._ends = {p: (v, v) for v, p in self._paths.items()}
+        self._basis = {p: (p, v, v) for v, p in self._paths.items()}
 
-    # -- construction helpers ------------------------------------------------
+    # -- shared elements: built on first use, then read from the cache ------
 
-    def _shared(self, key, paths):
-        """The sum of the basis paths `paths()`, built once per key."""
-        out = self._cache.get(key)
-        if out is None:
-            out = self._cache[key] = Element(self, dict.fromkeys(paths(), 1))
+    def _keep(self, key, paths):
+        """The sum of the basis paths `paths`, kept in the cache under key."""
+        out = self._cache[key] = _element_of(self, dict.fromkeys(paths, 1))
         return out
 
     def zero(self):
-        return self._shared("zero", tuple)
+        out = self._cache.get("zero")
+        return out if out is not None else self._keep("zero", ())
 
     def one(self):
-        return self._shared("one", lambda: map(self._paths.get, self.quiver.vertices))
+        out = self._cache.get("one")
+        return out if out is not None else self._keep(
+            "one", map(self._paths.get, self.quiver.vertices))
 
     def stationary(self, vertex):
-        if vertex not in self.quiver.arrows_from:
-            raise ValueError(f"unknown vertex {vertex}")
-        return self._shared(("e", vertex), lambda: [self._paths[vertex]])
+        out = self._cache.get(("e", vertex))
+        if out is None:
+            if vertex not in self.quiver.arrows_from:
+                raise ValueError(f"unknown vertex {vertex}")
+            out = self._keep(("e", vertex), [self._paths[vertex]])
+        return out
 
     def arrow(self, name):
-        if name not in self.quiver.arrow_by_name:
-            raise ValueError(f"unknown arrow {name}")
-        return self._shared(("arrow", name), lambda: [self.walk_path(name, 1)])
+        out = self._cache.get(("arrow", name))
+        if out is None:
+            if name not in self.quiver.arrow_by_name:
+                raise ValueError(f"unknown arrow {name}")
+            out = self._keep(("arrow", name), [self.walk_path(name, 1)])
+        return out
+
+    # -- construction helpers ------------------------------------------------
 
     def path_element(self, path):
         if not isinstance(path, Path):
@@ -206,12 +267,16 @@ class PathAlgebra:
         """The algebra's shared basis path equal to `path`, or None when the
         path is zero: a nonstationary path is zero unless it is the walk
         from its first arrow, so a path whose arrows do not compose is zero
-        as well.  Raises ValueError naming an unknown vertex or arrow."""
+        as well.  Raises ValueError naming a key that is not a `Path` (a
+        plain tuple equals the path it keys) or an unknown vertex or arrow."""
+        if not isinstance(path, Path):
+            raise ValueError(f"not a path: {path!r}")
+        entry = self._basis.get(path)
+        if entry is not None:
+            return entry[0]
         arrows = path.arrows
         if not arrows:
-            if path.vertex not in self.quiver.arrows_from:
-                raise ValueError(f"unknown vertex {path.vertex}")
-            return self._paths[path.vertex]
+            raise ValueError(f"unknown vertex {path.vertex}")
         first, n = arrows[0], len(arrows)
         if first in self._walks and arrows == self._walk(first, n):
             return self.walk_path(first, n)
@@ -229,7 +294,9 @@ class PathAlgebra:
         the walk from p's first arrow goes on along the walk from its next
         arrow, so p·q is nonzero when q starts with that arrow and fits.
         A path's first two entries are its length and its first arrow, or
-        0 and its vertex."""
+        0 and its vertex.  `Element.__mul__` follows the same rule inline;
+        the intertwiner columns of `decompose`, the maximality tests of
+        `maximal` and the tests' reference products call this."""
         n, first = p[0], p[1]
         if not n:
             return q if first == self._end_points(q)[0] else None
@@ -243,7 +310,8 @@ class PathAlgebra:
 
     def _end_points(self, path):
         """(source, target) of a basis path, from the algebra's table."""
-        return self._ends.get(path) or self._ends[self.basis_path(path)]
+        _, source, target = self._basis[self.basis_path(path)]
+        return source, target
 
     def next_arrow(self, p):
         """The arrow after the nonstationary basis path p on the walk from
@@ -263,7 +331,8 @@ class PathAlgebra:
             if length < 1 or len(walk) != length:
                 raise ValueError(f"no basis path of length {length} from arrow {arrow_name}")
             path = self._paths[key] = Path.of(walk)
-            self._ends[path] = (self.quiver.source(arrow_name), self.quiver.target(walk[-1]))
+            self._basis[path] = (path, self.quiver.source(arrow_name),
+                                 self.quiver.target(walk[-1]))
         return self._paths[key]
 
     # -- structural maps (require the string overlap conditions) ---------------

@@ -137,8 +137,8 @@ def test_unit_element():
 
 def test_products_with_the_shared_one_return_the_other_factor(monkeypatch):
     # the shared one() is 1 by construction: a product with it is the other
-    # factor itself, with no concat; an element that merely equals 1 is
-    # multiplied out
+    # factor itself; an element that merely equals 1 is multiplied out, into
+    # a new element.  Products follow the walks inline, so neither calls concat
     calls = []
     concat = algebra_module.PathAlgebra.concat
     monkeypatch.setattr(algebra_module.PathAlgebra, "concat",
@@ -157,8 +157,8 @@ def test_products_with_the_shared_one_return_the_other_factor(monkeypatch):
             assert calls == [], name
             right, left = x * equal_one, equal_one * x
             assert right == x and left == x, name
-            # one composable pair per term of x on each side
-            assert len(calls) == 2 * len(x.terms), name
+            assert right is not x and left is not x, name
+            assert calls == [], name
     # the shared one of another algebra is still refused
     other = make_algebra(TWO_CYCLE_REL)
     with pytest.raises(ValueError):

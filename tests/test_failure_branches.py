@@ -147,6 +147,9 @@ def test_element_rejects_an_unknown_vertex_or_arrow():
     _raises(lambda: algebra.element({Path.of(("a", "q")): 1}), ValueError,
             "unknown arrow q")
     _raises(lambda: algebra.path_element(("q",)), ValueError, "unknown arrow q")
+    # a plain tuple equals the path it keys, but is not one
+    _raises(lambda: algebra.element({(1, "a"): 1}), ValueError,
+            "not a path: (1, 'a')")
 
 
 def test_element_times_an_int_from_either_side():

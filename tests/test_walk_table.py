@@ -3,8 +3,8 @@
 Products, ideal membership and the basis are read off the unique walk from
 each arrow; RelationSet.contains (every generator over every subpath) stays
 the reference they are checked against here.  `concat` hands out one shared
-(interned) path per basis path, and element products only offer it the
-pairs of terms whose ends meet.
+(interned) path per basis path, and element products follow the walks
+inline, without it, to the same shared paths.
 """
 
 import hashlib
@@ -62,8 +62,15 @@ def test_walk_table_matches_relation_scan():
         assert basis == sorted(p for p in paths if not algebra.relations.contains(p)), name
         for p in basis:
             for q in basis:
-                assert algebra.concat(p, q) == _reference_concat(algebra, p, q), \
-                    (name, str(p), str(q))
+                expected = _reference_concat(algebra, p, q)
+                assert algebra.concat(p, q) == expected, (name, str(p), str(q))
+                product = algebra.path_element(p) * algebra.path_element(q)
+                if expected is None:
+                    assert product.is_zero, (name, str(p), str(q))
+                else:
+                    [(r, c)] = product.terms.items()
+                    assert r == expected and c == 1, (name, str(p), str(q))
+                    assert r is algebra.basis_path(expected), (name, str(p), str(q))
 
 
 def test_concat_results_are_interned():
@@ -124,26 +131,24 @@ def test_products_match_the_all_pairs_reference():
 
 
 def test_products_offer_concat_only_composable_pairs(monkeypatch):
+    # products follow the walks inline: they offer concat no pair at all
     calls = []
     concat = PathAlgebra.concat
 
     def counted(algebra, p, q):
-        calls.append(algebra.quiver.path_target(p) == algebra.quiver.path_source(q))
+        calls.append((p, q))
         return concat(algebra, p, q)
 
     monkeypatch.setattr(PathAlgebra, "concat", counted)
     rng = random.Random(23)
     for name, algebra in _algebras():
         basis = algebra.enumerate_basis(6)
-        quiver = algebra.quiver
         for _ in range(10):
             x = _random_element(rng, algebra, basis)
             y = _random_element(rng, algebra, basis)
             calls.clear()
-            x * y
-            assert all(calls), name
-            assert len(calls) == sum(quiver.path_target(p) == quiver.path_source(q)
-                                     for p in x.terms for q in y.terms), name
+            assert x * y == _reference_product(x, y), name
+            assert calls == [], name
 
 
 def test_cycle_positions_match_the_counting_reference():
