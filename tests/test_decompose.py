@@ -620,6 +620,16 @@ def test_factor_words_compose_to_their_factors():
     assert words > 0
 
 
+def test_a_level_its_stages_leave_is_caught(monkeypatch, double_diamond):
+    # with every exponential the identity, stage C of the tower does not
+    # remove the level-2 part p.q of the image of s (nor does the peel)
+    f = certified(double_diamond, "map s = 1*s + 2*p.q")
+    monkeypatch.setattr(decompose, "exponentiate",
+                        lambda d: Endomorphism.identity(d.algebra))
+    with pytest.raises(DecompositionError, match=r"^level 2 did not clear$"):
+        decompose_general(f)
+
+
 def test_returning_residues_must_be_cycle_type(monkeypatch):
     f = next(f for f in _criterion_5_items(30)
              if decompose_general(f).factor(ENDPOINT_PRESERVING).derivations)

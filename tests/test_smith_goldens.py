@@ -135,9 +135,8 @@ def _times(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-# Rank-deficient matrices: their elimination ends at a zero block, the level
-# of _smith.smith_image where pivot finds no entry and the level of
-# _smith.reconstruct with no pivot.
+# Rank-deficient matrices: their elimination ends at a zero block, where
+# _smith.pivot finds no entry and the levels stop.
 SINGULAR_GOLDENS = {
     "x, x; x, x": "eaae0430c07cb9a5de8920a98b55354e03317db5d2a97b701a6b08e2ca6e019e",
     "1, x; x, x^2": "9d7c6b56f2c4b62162f3230562fb8c8d45c47161a28bae1d4b9fabe30f3931e2",
@@ -197,6 +196,32 @@ def test_rank_deficient_factorization(m, digest):
     assert 0 < rank < m.n
     assert rank == _sympy_rank(m)
     assert _digest(fact) == digest
+
+
+# Matrices with at most one nonzero entry in each row and column: every pivot
+# is alone in its row and column, so no level eliminates anything
+C, E = 3 ** 1300, 7 ** 200
+NO_ELIMINATION_GOLDENS = {
+    "7": "19b274673465380ea2c28fe528c0ed712a36e0220e28026f51446dbc50d9f18f",
+    "1/3*x^2 - 5/7": "c1e91557e3737168b6d5ac90b6fae6a4b2c9340357b4a1d3ba34b2a6fdbaa7c0",
+    f"{C}*x + 1/{E}": "471a46ffe6fb755a082fb8130b76ddcaa300cb62997f275fb009ce1a6f98ee48",
+    "0, 1/2*x; 3, 0": "76ee70dda5c48e626c0710c6ad96af57ab4bcae0a7b5dff5dd0111207bfebb1f",
+    "0": "15e18f4a500439b5922425434b65bcd597a4dc3a973a465b4f5a2dc32ad4f11e",
+    "0, 0; 0, 0": "5b3d99f7f866d1dd824e3a1e35a3fb127dcd8713dcc27be0a433ed9334e5ede1",
+    f"x, 0, 0; 0, 0, {C}; 0, 2/3*x^4, 0":
+        "9eee00c5c66e51ae0a8fd0d5eb950c69dc4ed56688bbc959f5274ccb7de3e0b4",
+    f"0, 0, 1/{C}; 0, x, 0; 5, 0, 0":
+        "7dab21a12315fa16b8c2de9ce40c4aa03bb2a760cef798061e02ab717b342ee0",
+}
+
+
+@pytest.mark.parametrize("text", NO_ELIMINATION_GOLDENS,
+                         ids=[f"no-elimination-{k}" for k in range(len(NO_ELIMINATION_GOLDENS))])
+def test_no_elimination_factorization(text):
+    m = parse_poly_matrix(text)
+    fact = modified_smith(m)
+    assert fact.verify(m)
+    assert _digest(fact) == NO_ELIMINATION_GOLDENS[text]
 
 
 def test_failed_certificate_restarts_elimination(monkeypatch):
