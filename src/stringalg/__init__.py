@@ -11,8 +11,7 @@ triangular-at-zero Smith style.
 
 from .algebra import Element, PathAlgebra, format_element, parse_element
 from .decompose import (Decomposition, Factor, OuterClassReport,
-                        decompose_general, decompose_string, outer_class,
-                        peel_maximal, solve_conjugation_unique_max)
+                        decompose_general, outer_class, peel_maximal)
 from .errors import StringAlgError
 from .maximal import (ArrowPartition, InfiniteMaximalPath, MaximalPathReport,
                       arrow_partition, classify_maximal, cycle_sum,

@@ -18,9 +18,8 @@ input: Fractions appear only in a returned value that is not an integer.
 
 An unknown whose column depends on the ones before it keeps coefficient 0,
 so with free unknowns the solution follows insertion order.  `_rref`, the
-batch use that `nullspace` and `matrix_inverse` go through, adds columns in
-column order; its reduced echelon form is unique, so results can be pinned
-in goldens.
+batch use that `matrix_inverse` goes through, adds columns in column order;
+its reduced echelon form is unique, so results can be pinned in goldens.
 """
 
 from __future__ import annotations
@@ -136,14 +135,6 @@ def _rref(rows, ncols):
         for c, v in relation.items():
             pivots[c][j] = _ratio(-v, t)
     return pivots
-
-
-def nullspace(rows, ncols):
-    """Basis of the solution space of rows * x = 0, for dense rows, as
-    Fractions."""
-    pivots = _rref([dict(enumerate(row)) for row in rows], ncols)
-    return [[Fraction(-pivots[c].get(free, 0) if c in pivots else c == free)
-             for c in range(ncols)] for free in range(ncols) if free not in pivots]
 
 
 def matrix_inverse(rows):

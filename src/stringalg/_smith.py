@@ -47,7 +47,9 @@ def primes():
 def factorizations(start):
     """The exact levels of the elimination of modified_smith on the matrix
     start (entries (den, numerators)); see reconstruct for their form, and
-    compose for U and V.
+    compose for U and V.  There is one level per nonzero pivot; a level
+    whose pivot is already alone in its row and column carries no factors,
+    so a matrix that needs no elimination takes the same path as any other.
 
     Each prime's images are grouped with those of equal traces.  Once the
     largest group has enough primes, reconstruct rebuilds the levels they
@@ -62,12 +64,6 @@ def factorizations(start):
     bits are the cap.
     """
     n = len(start)
-    if (all(sum(1 for _, nums in row if nums) <= 1 for row in start)
-            and all(sum(1 for _, nums in col if nums) <= 1 for col in zip(*start))):
-        # every pivot is alone in its row and column: nothing to eliminate
-        yield [((), (), None, None, (i, j, f), [], (), ())
-               for i, row in enumerate(start) for j, f in enumerate(row) if f[1]]
-        return
     everything = tuple(range(n))
     done = []                   # exact levels, in order
     block, rows, cols = start, everything, everything
@@ -122,10 +118,11 @@ def smith_image(start, rows, cols, p):
 
     Returns one tuple per deflation level: (trace, rows, cols, left, right,
     pivot, end) with the pivot measures and deflation flags of the level,
-    its active rows and columns, its factors (None without elimination),
-    the deflated pivot as (row, column, polynomial) (None when the block
-    is zero) and the block left for the next level.  None when p divides a
-    denominator."""
+    its active rows and columns, its factors (None when its first pivot is
+    alone in its row and column), the deflated pivot as (row, column,
+    polynomial) and the block left for the next level.  The levels end
+    where that block is empty or zero.  None when p divides a denominator.
+    """
     n = len(start)
     cur = [[None] * n for _ in range(n)]
     for i in rows:
@@ -138,14 +135,14 @@ def smith_image(start, rows, cols, p):
     rows, cols = list(rows), list(cols)
     levels = []
     while rows:
+        found = pivot(cur, rows, cols)
+        if found is None:
+            break
         level_rows, level_cols = tuple(rows), tuple(cols)
         left = right = None
         trace = []
         prev = None
         while True:
-            found = pivot(cur, rows, cols)
-            if found is None:
-                break
             best, i0, j0 = found
             clear = (not any(cur[i0][c] for c in cols if c != j0)
                      and not any(cur[r][j0] for r in rows if r != i0))
@@ -162,9 +159,8 @@ def smith_image(start, rows, cols, p):
                 left, right = identity(len(rows)), identity(len(cols))
             eliminate(cur, rows, cols, i0, j0, left, right, p)
             prev = best
-        if found is None:
-            levels.append((tuple(trace), level_rows, level_cols, left, right, None, []))
-            break
+            # the pivot entry is never changed, so the block stays nonzero
+            found = pivot(cur, rows, cols)
         rows.remove(i0)
         cols.remove(j0)
         end = [[cur[i][j] for j in cols] for i in rows]
@@ -219,16 +215,19 @@ def identity(n):
     return [[[1] if i == j else [] for j in range(n)] for i in range(n)]
 
 
-def reduced(acc, p):
-    """The coefficients mod p, without trailing zeros."""
-    acc = [c % p for c in acc]
+def reduced(acc, p=None):
+    """The coefficients mod p (as they are when p is None), without trailing
+    zeros."""
+    if p:
+        acc = [c % p for c in acc]
     while acc and not acc[-1]:
         acc.pop()
     return acc
 
 
-def mulsum(base, pairs, p):
-    """base + sum of x * y over the pairs, over Z/p."""
+def mulsum(base, pairs, p=None):
+    """base + sum of x * y over the pairs, over Z/p, or over Z when p is
+    None."""
     pairs = [(x, y) for x, y in pairs if x and y]
     if not pairs:
         return base
@@ -273,10 +272,11 @@ def reconstruct(group):
 
     Returns the exact levels rebuilt before the first one the primes do not
     determine yet, each as (rows, cols, left, right, pivot, end, next rows,
-    next cols) with left and right as (den, numerators), pivot as (row,
-    column, (den, numerators)) and end a matrix of (den, numerators).  Each
-    call rebuilds from the first level of group, so a level that failed
-    before is tried again in full once more primes are in."""
+    next cols) with left and right as (den, numerators) (None when the
+    level eliminated nothing), pivot as (row, column, (den, numerators))
+    and end a matrix of (den, numerators).  Each call rebuilds from the
+    first level of group, so a level that failed before is tried again in
+    full once more primes are in."""
     lift = Lift([p for p, _ in group])
     exact = []
     for k, (_, rows, cols, left, _, pivot, _) in enumerate(group[0][1]):
@@ -285,16 +285,12 @@ def reconstruct(group):
         if left is not None:
             parts["left"] = [[f for row in img[3] for f in row] for img in images]
             parts["right"] = [[f for row in img[4] for f in row] for img in images]
-        if pivot is not None:
-            parts["rest"] = [[img[5][2]] + [f for row in img[6] for f in row] for img in images]
+        parts["rest"] = [[img[5][2]] + [f for row in img[6] for f in row] for img in images]
         built = {}
         for name, part in parts.items():
             built[name] = rebuild(part, lift)
             if built[name] is None:
                 return exact
-        if pivot is None:
-            exact.append((rows, cols, built.get("left"), built.get("right"), None, [], (), ()))
-            break
         i0, j0 = pivot[0], pivot[1]
         den, nums = built["rest"]
         polys = [(den, f) for f in nums]
@@ -400,27 +396,11 @@ def compose(levels, n, side):
         s, flat = level[side]
         if side == 3:
             flat = [flat[b * na + a] for a in range(na) for b in range(na)]
-        block = {at[a]: [int_dot(flat[a * na:(a + 1) * na], [x[i][c] for i in at])
+        block = {at[a]: [mulsum([], zip(flat[a * na:(a + 1) * na], [x[i][c] for i in at]))
                          if c in at else [] for c in range(n)] for a in range(na)}
         x = [block.get(r) or [[c * s for c in f] for f in x[r]] for r in range(n)]
         den *= s
     return den, x if side == 2 else [list(col) for col in zip(*x)]
-
-
-def int_dot(row, col):
-    """Sum of the products of integer coefficient lists."""
-    acc = []
-    for a, b in zip(row, col):
-        if a and b:
-            if len(acc) < len(a) + len(b) - 1:
-                acc.extend([0] * (len(a) + len(b) - 1 - len(acc)))
-            for i, c in enumerate(a):
-                if c:
-                    for j, e in enumerate(b, i):
-                        acc[j] += c * e
-    while acc and not acc[-1]:
-        acc.pop()
-    return acc
 
 
 # -- the certificate: the product of the factors against M, by values --------------

@@ -474,10 +474,18 @@ def format_element(x):
 
 
 def parse_element(algebra, text):
-    result = algebra.zero()
+    """The element of the text.  Its signed terms are summed into one dict,
+    in the order `+` would leave them, so parsing is linear in the term
+    count."""
+    terms = {}
     for sign, term in _signed_terms(text, ElementFormatError):
-        result = result + _parse_term(algebra, term).scale(sign)
-    return result
+        for p, c in _parse_term(algebra, term).terms.items():
+            c = terms.get(p, 0) + sign * c
+            if c:
+                terms[p] = c
+            else:
+                del terms[p]
+    return Element._trusted(algebra, terms)
 
 
 def _parse_term(algebra, term):

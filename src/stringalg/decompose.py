@@ -120,25 +120,6 @@ def peel_maximal(f):
 # -- stage 2: conjugation solve on an infinite-maximal-path block ----------------
 
 
-def solve_conjugation_unique_max(f):
-    """Conjugating unit for a graded-identity automorphism of a locally
-    gentle algebra with a unique infinite maximal path: the algebra is one
-    block, solved by `_block_unit`, and conjugation by the unit is compared
-    with f on every generator before it is returned."""
-    algebra = f.algebra
-    if algebra.is_polynomial_ring:
-        raise ShapeError("the one-loop free algebra has no conjugation solver")
-    cycles = algebra.infinite_cycles()
-    if len(cycles) != 1 or set(cycles[0]) != set(algebra.quiver.arrow_by_name):
-        raise ShapeError("algebra must have exactly one maximal path, infinite")
-    if not f.certified or not membership(f).graded_identity:
-        raise CertificationError("solver requires a certified graded-identity input")
-    unit = _block_unit(f, 0)
-    if inner_automorphism(unit) != f:
-        raise DecompositionError("conjugation verification failed")
-    return unit
-
-
 def _block_unit(f, index):
     """Conjugating unit of the part of a certified graded-identity f on the
     block of infinite maximal path `index`.
@@ -168,9 +149,9 @@ def _block_unit(f, index):
     is not a unit raises NotAUnitError: the input was not an automorphism.
 
     The unit is returned with its verified inverse but without checking
-    that it conjugates the block: `decompose_general` checks that every
-    cycle arrow is fixed after the block correction, and
-    `solve_conjugation_unique_max` compares the whole conjugation with f.
+    that it conjugates the block: `decompose_general`, its one caller,
+    checks that every cycle arrow is fixed after the block correction and
+    then compares the whole recomposition with its input.
     """
     algebra = f.algebra
     cycle = algebra.infinite_cycles()[index]
@@ -315,11 +296,14 @@ def _radical_tower(f):
     word = []
     u_acc = u_inv = algebra.one()
     current = f
+    n = None    # the level last worked on: its stages must have cleared it
     while True:
         levels = [img - algebra.arrow(a) for a, img in current.arrow_images.items()]
         degrees = [x.min_degree() for x in levels if not x.is_zero]
         if not degrees:
             break
+        if n is not None and min(degrees) <= n:
+            raise DecompositionError(f"level {n} did not clear")
         n = min(degrees)
         if n <= 1:
             raise DecompositionError("input is not graded-identity on arrows")
@@ -389,9 +373,6 @@ def _radical_tower(f):
             current = step.compose(current)
             d_acc = d_acc.plus(d_step.negated())
             u_acc, u_inv = _apply_both(step, u_acc, u_inv)
-        still = [img - algebra.arrow(a) for a, img in current.arrow_images.items()]
-        if any((not x.is_zero) and x.min_degree() <= n for x in still):
-            raise DecompositionError(f"level {n} did not clear")
     if not rho.is_identity():
         match = _solve_inner_match(rho)
         if match is not None:
@@ -419,24 +400,6 @@ def _solve_inner_match(rho):
 
 
 # -- public pipeline -------------------------------------------------------------
-
-
-def decompose_string(f):
-    """Decompose a vertex-fixing graded-identity automorphism of a
-    finite-dimensional string presentation into [exponential,
-    endpoint-preserving, inner] factors with exact recomposition, by
-    `decompose_general`: on this domain its peel, block stage and vertex
-    correction leave the radical tower's factors as they are."""
-    algebra = f.algebra
-    if not algebra.presentation.is_finite_dimensional:
-        raise ShapeError("decompose_string requires a finite-dimensional presentation")
-    if not f.certified:
-        raise CertificationError("input endomorphism is not certified")
-    flags = membership(f)
-    if not flags.fixes_vertices or not flags.graded_identity:
-        raise CertificationError(
-            "decompose_string requires a vertex-fixing graded-identity input")
-    return decompose_general(f)
 
 
 def _tower_factors(d, rho, word, unit):

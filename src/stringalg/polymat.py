@@ -437,7 +437,7 @@ def modified_smith(m):
         zero = Poly()
         sigma = [None] * n
         diag = [zero] * n
-        for i, j, (den, nums) in (level[4] for level in levels if level[4] is not None):
+        for i, j, (den, nums) in (level[4] for level in levels):
             sigma[i], diag[i] = j, Poly._raw(den, nums)
         free = sorted(set(range(n)) - set(sigma))
         sigma = tuple(j if j is not None else free.pop(0) for j in sigma)

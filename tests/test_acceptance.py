@@ -7,16 +7,15 @@ import time
 from fractions import Fraction
 
 from stringalg.decompose import (ENDPOINT_PRESERVING, EXP_MAXIMAL, INNER,
-                                 decompose_general, decompose_string,
-                                 outer_class)
+                                 decompose_general, outer_class)
 from stringalg.maximal import degree_zero_center_dimension
 from stringalg.morphisms import (CYCLE, MAXIMAL, exponentiate,
                                  inner_automorphism, invert_unit,
                                  make_derivation, parse_endomorphism,
                                  verify_endomorphism)
-from stringalg.polymat import (Poly, PolyMatrix, modified_smith,
-                               parse_poly_matrix, smith_elimination_step,
-                               _pivot_position)
+from stringalg.polymat import (Poly, PolyMatrix, SmithFactorization,
+                               modified_smith, parse_poly_matrix,
+                               smith_elimination_step, _pivot_position)
 
 from conftest import SOURCES, make_algebra
 from factories import (derivation_targets, elementary_unit_paths,
@@ -58,7 +57,8 @@ def test_criterion_1_worked_matrix_example():
     assert m1 == parse_poly_matrix(
         "3*x - 2, 0, 0; -1, -1, 0; 2*x^2 + x, 1, 3*x + 2")
     fact = modified_smith(m)
-    assert fact.product() == m
+    # verify keeps m as the product, so multiply out a fresh, unverified copy
+    assert SmithFactorization(fact.U, fact.D, fact.sigma, fact.V).product() == m
     assert fact.U.is_unit_upper_at_zero()
     assert fact.V.is_unit_upper_at_zero()
     _finish(1, "worked 3x3 factorization", start, 1.0)
@@ -75,7 +75,7 @@ def test_criterion_2_two_cycle_golden_maps():
     _finish("2a", "conjugation images", start, 1.0)
     # (b) decomposing it gives only a verified inner factor
     start = time.monotonic()
-    dec = decompose_string(f)
+    dec = decompose_general(f)
     assert dec.factor(EXP_MAXIMAL).is_trivial
     assert dec.factor(ENDPOINT_PRESERVING).is_trivial
     inner = dec.factor(INNER)
@@ -85,7 +85,7 @@ def test_criterion_2_two_cycle_golden_maps():
     # (c) the outer map keeps a nontrivial endpoint-preserving factor
     start = time.monotonic()
     g = verify_endomorphism(parse_endomorphism(algebra, "map a = 1*a + 1*a.b.a"))
-    dec = decompose_string(g)
+    dec = decompose_general(g)
     assert not dec.factor(ENDPOINT_PRESERVING).is_trivial
     assert dec.compose() == g
     _finish("2c", "outer map decomposition", start, 1.0)

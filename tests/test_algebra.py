@@ -228,6 +228,30 @@ def test_ideal_paths_collapse_to_zero(ex_string):
     assert parse_element(ex_string, "1*a.b.a.b").is_zero
 
 
+def test_parsing_sums_terms_in_one_pass(monkeypatch):
+    # the line quiver a1 ... a4000 with every length-2 path zero
+    n = 4000
+    source = "\n".join([f"vertex {i}" for i in range(n + 1)]
+                       + [f"arrow a{i} : {i - 1} -> {i}" for i in range(1, n + 1)]
+                       + [f"relation a{i} a{i + 1}" for i in range(1, n)])
+    algebra = make_algebra(source)
+    text = " + ".join(f"{i}*a{i}" for i in range(1, n + 1))
+    added = []
+    add = type(algebra.zero()).__add__
+    monkeypatch.setattr(type(algebra.zero()), "__add__",
+                        lambda x, y: added.append(1) or add(x, y))
+    x = parse_element(algebra, text)
+    assert not added
+    assert x == algebra.element({Path.of((f"a{i}",)): i for i in range(1, n + 1)})
+    # a term that cancels leaves the sum, and comes back at its end, as with +
+    a, b = algebra.arrow("a1"), algebra.arrow("a2")
+    y = parse_element(algebra, "1*a1 + 2*a2 - 1*a1 + 1/2*a1 + 1/2*a1")
+    assert list(y.terms.items()) == list((a + b.scale(2) - a + a.scale(Fraction(1, 2))
+                                          + a.scale(Fraction(1, 2))).terms.items())
+    assert list(y.terms.items()) == [(Path.of(("a2",)), 2), (Path.of(("a1",)), 1)]
+    assert type(y.terms[Path.of(("a1",))]) is int
+
+
 def test_integral_arithmetic_builds_no_fraction(monkeypatch):
     """Sums and products of elements with integral coefficients stay in ints:
     no Fraction is built on any fixture."""

@@ -6,9 +6,8 @@ import pytest
 
 from stringalg import decompose
 from stringalg.decompose import (ENDPOINT_PRESERVING, EXP_MAXIMAL, GRADED,
-                                 INNER, decompose_general, decompose_string,
-                                 outer_class, peel_maximal,
-                                 solve_conjugation_unique_max, _solve_inner_match)
+                                 INNER, decompose_general, outer_class,
+                                 peel_maximal, _solve_inner_match)
 from stringalg import Path, PathAlgebra
 from stringalg._linalg import Echelon
 from stringalg.errors import CertificationError, DecompositionError, ShapeError
@@ -69,7 +68,7 @@ def test_peel_rejects_non_graded_identity(kronecker):
 
 def test_decompose_inner_map_gives_pure_inner(ex_string):
     f = certified(ex_string, "map a = 1*a + 2*a.b.a\nmap b = 1*b - 2*b.a.b")
-    dec = decompose_string(f)
+    dec = decompose_general(f)
     assert dec.factor(EXP_MAXIMAL).is_trivial
     assert dec.factor(ENDPOINT_PRESERVING).is_trivial
     inner = dec.factor(INNER)
@@ -83,25 +82,14 @@ def test_decompose_inner_map_gives_pure_inner(ex_string):
 
 def test_decompose_outer_map_keeps_endpoint_factor(ex_string):
     f = certified(ex_string, "map a = 1*a + 1*a.b.a")
-    dec = decompose_string(f)
+    dec = decompose_general(f)
     assert not dec.factor(ENDPOINT_PRESERVING).is_trivial
     assert dec.compose() == f
 
 
 def test_decompose_identity_is_trivial(ex_string):
-    dec = decompose_string(Endomorphism.identity(ex_string))
+    dec = decompose_general(Endomorphism.identity(ex_string))
     assert all(f.is_trivial for f in dec.factors)
-
-
-def test_decompose_string_requires_finite_dimensional(cycle_free):
-    with pytest.raises(ShapeError):
-        decompose_string(Endomorphism.identity(cycle_free))
-
-
-def test_decompose_string_requires_vertex_fixing(ex_string):
-    f = certified(ex_string, "map a = 2*a\nmap b = 1/2*b")
-    with pytest.raises(CertificationError):
-        decompose_string(f)
 
 
 def test_string_factors_are_at_most_one_each(ex_string):
@@ -109,7 +97,7 @@ def test_string_factors_are_at_most_one_each(ex_string):
     cycle_paths = elementary_unit_paths(ex_string, cycles_only=True)
     for _ in range(10):
         f = random_graded_identity_automorphism(rng, ex_string, paths=cycle_paths)
-        dec = decompose_string(f)
+        dec = decompose_general(f)
         kinds = [fac.kind for fac in dec.factors]
         assert kinds == [EXP_MAXIMAL, ENDPOINT_PRESERVING, INNER]
         assert dec.compose() == f
@@ -145,19 +133,28 @@ def test_moved_free_loop_block_is_rejected():
         decompose_general(f)
 
 
-# -- the one-cycle conjugation solver ----------------------------------------------
+# -- one block: the unit of the inner factor ------------------------------------------
+
+
+def solved_unit(f):
+    """The unit of the inner factor of `decompose_general(f)`, for an f whose
+    every other factor is trivial: an inner map of an algebra that is one
+    infinite-maximal-path block."""
+    dec = decompose_general(f)
+    assert all(factor.is_trivial for factor in dec.factors if factor.kind != INNER)
+    return dec.factor(INNER).unit
 
 
 def test_solver_round_trips_inner(cycle_free):
     u = invert_unit(cycle_free.one() + cycle_free.arrow("a"))
     f = inner_automorphism(u)
-    got = solve_conjugation_unique_max(f)
+    got = solved_unit(f)
     assert got.value == u.value
     assert inner_automorphism(got) == f
 
 
 def test_solver_identity(cycle_free):
-    got = solve_conjugation_unique_max(Endomorphism.identity(cycle_free))
+    got = solved_unit(Endomorphism.identity(cycle_free))
     assert got.value == cycle_free.one()
 
 
@@ -168,7 +165,7 @@ def test_solver_on_random_inners():
         paths = elementary_unit_paths(algebra)
         for _ in range(8):
             f = random_inner(rng, algebra, paths)
-            unit = solve_conjugation_unique_max(f)
+            unit = solved_unit(f)
             assert inner_automorphism(unit) == f, name
 
 
@@ -384,37 +381,16 @@ def test_solve_offers_concat_only_pairs_that_can_meet(monkeypatch):
 
 def test_wrong_block_unit_is_caught(monkeypatch, cycle_free):
     # _block_unit does not check its conjugation: decompose_general finds a
-    # cycle arrow moved after the block correction, and
-    # solve_conjugation_unique_max compares the conjugation with its input
+    # cycle arrow moved after the block correction
     f = certified(cycle_free, "map e_1 = 1*e_1 - 2*b.a.b\nmap e_2 = 1*e_2 + 2*b.a.b\n"
                   "map a = 1*a + 2*a.b.a.b - 2*b.a.b.a - 4*b.a.b.a.b.a.b")
     assert decompose_general(f).compose() == f
-    assert inner_automorphism(solve_conjugation_unique_max(f)) == f
     wrong_block_unit(monkeypatch, "a")
     with pytest.raises(DecompositionError, match="^block correction left arrow a moved$"):
         decompose_general(f)
-    with pytest.raises(DecompositionError, match="^conjugation verification failed$"):
-        solve_conjugation_unique_max(f)
-
-
-def test_solver_rejects_polynomial_ring(poly_ring):
-    with pytest.raises(ShapeError):
-        solve_conjugation_unique_max(Endomorphism.identity(poly_ring))
 
 
 # -- the general pipeline -----------------------------------------------------------
-
-
-def test_general_matches_string_on_string_algebras(ex_string):
-    rng = random.Random(11)
-    cycle_paths = elementary_unit_paths(ex_string, cycles_only=True)
-    for _ in range(5):
-        f = random_graded_identity_automorphism(rng, ex_string, paths=cycle_paths)
-        dec_s = decompose_string(f)
-        dec_g = decompose_general(f)
-        assert dec_g.compose() == f
-        assert [fac.kind for fac in dec_g.factors] == \
-            [fac.kind for fac in dec_s.factors]
 
 
 def test_general_pure_cycle_returns_single_inner():
@@ -597,7 +573,7 @@ def _decomposed_items():
         algebra = make_algebra(SOURCES[name])
         paths = elementary_unit_paths(algebra, cycles_only=True)
         for _ in range(5):
-            yield decompose_string(
+            yield decompose_general(
                 random_graded_identity_automorphism(rng, algebra, paths=paths))
 
 

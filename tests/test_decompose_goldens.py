@@ -2,8 +2,8 @@
 decomposition pipeline.
 
 Each digest is the SHA-256 of one output's text: the `format_element` of an
-inverse from `invert_unit` or of a unit from `solve_conjugation_unique_max`,
-or the rendered factors of a `decompose_general` or `decompose_string`
+inverse from `invert_unit` or of the unit of a `decompose_general` inner
+factor, or the rendered factors of a `decompose_general`
 result (kind, triviality, and the unit or the map).  The inputs are seeded
 products of elementary units on every cycle fixture, the seeded streams of
 `test_solver_on_random_inners`, the first 30 mixed items of acceptance
@@ -16,8 +16,7 @@ import random
 from fractions import Fraction
 
 from stringalg import Path, format_element
-from stringalg.decompose import (decompose_general, decompose_string,
-                                 solve_conjugation_unique_max)
+from stringalg.decompose import INNER, decompose_general
 from stringalg.morphisms import format_endomorphism, invert_unit
 
 from conftest import SOURCES, make_algebra
@@ -208,7 +207,7 @@ def solver_unit_texts():
         algebra = make_algebra(SOURCES[name])
         paths = elementary_unit_paths(algebra)
         for _ in range(8):
-            unit = solve_conjugation_unique_max(random_inner(rng, algebra, paths))
+            unit = decompose_general(random_inner(rng, algebra, paths)).factor(INNER).unit
             yield format_element(unit.value)
 
 
@@ -230,7 +229,7 @@ def decomposition_texts():
 
 
 def string_decomposition_texts():
-    """The rendered `decompose_string` results of ten seeded automorphisms
+    """The rendered `decompose_general` results of ten seeded automorphisms
     per finite-dimensional string fixture, drawn from exponentials and
     conjugations by units on closed paths, so every one fixes the vertices."""
     rng = random.Random(29)
@@ -239,7 +238,7 @@ def string_decomposition_texts():
         paths = elementary_unit_paths(algebra, cycles_only=True)
         for _ in range(10):
             f = random_graded_identity_automorphism(rng, algebra, paths=paths)
-            yield _render(decompose_string(f))
+            yield _render(decompose_general(f))
 
 
 def test_inverses_are_pinned():

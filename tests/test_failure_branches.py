@@ -7,8 +7,7 @@ import pytest
 
 from stringalg import Path
 from stringalg.cli import run
-from stringalg.decompose import (decompose_general, decompose_string, peel_maximal,
-                                 solve_conjugation_unique_max)
+from stringalg.decompose import decompose_general, peel_maximal
 from stringalg.errors import (CertificationError, DerivationError, MatrixFormatError,
                               QuiverFormatError, ShapeError)
 from stringalg.morphisms import (Endomorphism, graded_part, invert_graded,
@@ -91,7 +90,6 @@ def test_invert_graded_rejects_a_map_that_is_not_homogeneous():
 @pytest.mark.parametrize("stage, message", [
     (decompose_general, "input endomorphism is not certified"),
     (peel_maximal, "peel requires a certified graded-identity input"),
-    (solve_conjugation_unique_max, "solver requires a certified graded-identity input"),
     (graded_part, "graded part requires a certified endomorphism"),
     (membership, "membership requires a certified endomorphism"),
 ])
@@ -101,17 +99,9 @@ def test_stage_rejects_an_uncertified_input(stage, message):
     _raises(lambda: stage(f), CertificationError, message)
 
 
-def test_decompose_string_rejects_an_uncertified_input():
-    f = parse_endomorphism(make_algebra(DOUBLED_LINE), "map a1 = 1*a1\n")
-    _raises(lambda: decompose_string(f), CertificationError,
-            "input endomorphism is not certified")
-
-
 @pytest.mark.parametrize("stage, message", [
     (decompose_general, "decompose requires an algebra beyond the one-loop free algebra"),
-    (decompose_string, "decompose_string requires a finite-dimensional presentation"),
     (peel_maximal, "peel requires an algebra beyond the one-loop free algebra"),
-    (solve_conjugation_unique_max, "the one-loop free algebra has no conjugation solver"),
     (graded_part, "graded part is not defined for the one-loop free algebra"),
 ])
 def test_stage_rejects_the_one_loop_free_algebra(stage, message):

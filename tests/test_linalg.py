@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from stringalg._linalg import Echelon, _rref, matrix_inverse, nullspace
+from stringalg._linalg import Echelon, _rref, matrix_inverse
 from stringalg.errors import NotInvertibleError
 from stringalg.polymat import Poly, PolyMatrix, modified_smith, poly_matrix_inverse
 
@@ -174,6 +174,14 @@ def test_solve_affine_edge_cases():
     for rhs in ([1, 1, 6], [1, 2, 6]):
         assert solve_affine(augmented(rows, rhs, rng), 3) == \
             dense_solve_affine(rows, rhs)
+
+
+def nullspace(rows, ncols):
+    """Basis of the solution space of rows * x = 0, for dense rows, as
+    Fractions, read off `_rref`: one vector per free column."""
+    pivots = _rref([dict(enumerate(row)) for row in rows], ncols)
+    return [[Fraction(-pivots[c].get(free, 0) if c in pivots else c == free)
+             for c in range(ncols)] for free in range(ncols) if free not in pivots]
 
 
 def test_nullspace_matches_dense_reference():

@@ -204,7 +204,8 @@ def test_worked_example_factorization_is_exact():
     assert fact.verify(m)
     assert fact.U.is_unit_upper_at_zero()
     assert fact.V.is_unit_upper_at_zero()
-    assert fact.product() == m
+    # verify keeps m as the product, so multiply out a fresh, unverified copy
+    assert SmithFactorization(fact.U, fact.D, fact.sigma, fact.V).product() == m
 
 
 def test_already_diagonal_matrix():
