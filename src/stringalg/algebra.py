@@ -40,7 +40,8 @@ from .quiver import Path, _format_sum, _parse_coeff, _signed_terms
 
 
 # most arrows, over all its paths, that one listing of basis paths may hold;
-# a listing at the cap peaks near 50-70 MB (CPython 3.11, x86-64)
+# a process listing near the cap peaks at 45-70 MB resident (CPython 3.11,
+# x86-64; see README, Notes on guarantees)
 BASIS_ARROW_CAP = 2_000_000
 
 
@@ -182,14 +183,14 @@ class Element:
 
     def degree_part(self, n):
         return _element_of(self.algebra,
-                           {p: c for p, c in self.terms.items() if p.length == n})
+                           {p: c for p, c in self.terms.items() if p[0] == n})
 
     def min_degree(self):
         """Lowest degree with a nonzero term; None for the zero element."""
-        return min((p.length for p in self.terms), default=None)
+        return min((p[0] for p in self.terms), default=None)
 
     def max_degree(self):
-        return max((p.length for p in self.terms), default=None)
+        return max((p[0] for p in self.terms), default=None)
 
     def coefficient(self, path):
         return self.terms.get(path, 0)
@@ -299,26 +300,21 @@ class PathAlgebra:
         `maximal` and the tests' reference products call this."""
         n, first = p[0], p[1]
         if not n:
-            return q if first == self._end_points(q)[0] else None
+            return q if first == self.quiver.path_source(q) else None
         if not q[0]:
-            return p if self._end_points(p)[1] == q[1] else None
+            return p if self.quiver.path_target(p) == q[1] else None
         length = n + q[0]
         walk, periodic = self._walks[first]
         if not periodic and length > len(walk) or walk[n % len(walk)] != q[1]:
             return None
         return self._paths.get((first, length)) or self.walk_path(first, length)
 
-    def _end_points(self, path):
-        """(source, target) of a basis path, from the algebra's table."""
-        _, source, target = self._basis[self.basis_path(path)]
-        return source, target
-
     def next_arrow(self, p):
         """The arrow after the nonstationary basis path p on the walk from
         its first arrow, or None where that walk ends with p: a basis path
         q with p·q nonzero is stationary or starts with this arrow."""
-        walk, periodic = self._walks[p.arrows[0]]
-        n = len(p.arrows)
+        n, first = p[0], p[1]
+        walk, periodic = self._walks[first]
         return walk[n % len(walk)] if periodic or n < len(walk) else None
 
     def walk_path(self, arrow_name, length):
@@ -358,9 +354,11 @@ class PathAlgebra:
         """How many times a basis path passes the closing arrow of a
         surviving cycle.  Additive under nonzero products: a path with a
         cycle arrow stays on that cycle, so the path of length k from
-        position i of a cycle of n arrows passes it (k + i) // n times."""
-        at = self.cycle_positions().get(path.first_arrow)
-        return 0 if at is None else (path.length + at[1]) // len(self.infinite_cycles()[at[0]])
+        position i of a cycle of n arrows passes it (k + i) // n times.  The
+        key's second entry is read unguarded: a stationary path has k = 0 and
+        i < n, so it reads 0 even at a vertex named like a cycle arrow."""
+        at = self.cycle_positions().get(path[1])
+        return 0 if at is None else (path[0] + at[1]) // len(self.infinite_cycles()[at[0]])
 
     def cycle_arrows(self):
         if "cycle_arrows" not in self._cache:

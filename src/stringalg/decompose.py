@@ -245,8 +245,8 @@ def _intertwiner_columns(images):
     follow, lead = {}, {}   # image terms by first arrow; generators by the arrow after them
     for k, (g, image) in enumerate(images.items()):
         for p, c in image.terms.items():
-            follow.setdefault(p.first_arrow or p, []).append((k, p, c))
-        lead.setdefault(algebra.next_arrow(g) if g.arrows else g, []).append((k, g))
+            follow.setdefault(p[1] if p[0] else p, []).append((k, p, c))
+        lead.setdefault(algebra.next_arrow(g) if g[0] else g, []).append((k, g))
 
     def column(w):
         out = {}
@@ -256,8 +256,8 @@ def _intertwiner_columns(images):
             if wp is not None:
                 out[(k, wp)] = c
         start = stationary[quiver.path_source(w)]
-        for k, g in lead.get(start, []) + lead.get(w.first_arrow, []):
-            gw = concat(g, w) if g.arrows else w
+        for k, g in lead.get(start, []) + lead.get(w[1], []):
+            gw = concat(g, w) if g[0] else w
             if gw is not None:
                 c = out.pop((k, gw), 0) - 1
                 if c:

@@ -112,7 +112,7 @@ def component_of_path(algebra, path):
     A nonstationary basis path lies in a cycle block exactly when its first
     arrow does, since blocks are closed under continuation.
     """
-    at = algebra.cycle_positions().get(path.first_arrow)
+    at = algebra.cycle_positions().get(path[1]) if path[0] else None
     return None if at is None else at[0]
 
 

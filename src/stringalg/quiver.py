@@ -44,13 +44,16 @@ class Path(tuple):
     """A stationary path at a vertex or a nonempty sequence of arrow names.
 
     The path is the tuple (length, *arrows), or (0, vertex) when it is
-    stationary, so hashing, equality and ordering run on that tuple: the
-    canonical basis order used everywhere is by length, then arrow names,
-    with stationary paths ordered by vertex name.  A path equals the plain
-    tuple of its key.  `arrows`, `vertex`, `length`, `first_arrow` and
-    `last_arrow` are set once, when the path is built, and a pickled or
-    copied path is built again from its arrows or vertex.
+    stationary, and that key is its only state: hashing, equality and
+    ordering run on it, so the canonical basis order used everywhere is by
+    length, then arrow names, with stationary paths ordered by vertex name,
+    and a path equals the plain tuple of its key.  `length`, `arrows`,
+    `vertex`, `first_arrow`, `last_arrow` and `is_stationary` are read off
+    the key, and a pickled or copied path is built again from its arrows or
+    vertex.
     """
+
+    __slots__ = ()
 
     def __new__(cls, arrows=(), vertex=None):
         arrows = tuple(arrows)
@@ -59,22 +62,42 @@ class Path(tuple):
         if not arrows and vertex is None:
             raise ValueError("stationary path needs a vertex")
         self = super().__new__(cls, (len(arrows),) + arrows if arrows else (0, vertex))
-        self.arrows, self.vertex = arrows, vertex
         self.__post_init__()
         return self
 
     def __post_init__(self):
-        """Set the attributes read off the arrows; runs once per path built."""
-        arrows = self.arrows
-        self.length = len(arrows)
-        self.first_arrow = arrows[0] if arrows else None
-        self.last_arrow = arrows[-1] if arrows else None
+        """Runs once per path built and sets nothing: the one place where a
+        profiler can count the paths built (see bench/spans.py)."""
 
     def __reduce__(self):
-        return (Path.of, (self.arrows,)) if self.arrows else (Path.stationary, (self.vertex,))
+        return (Path.of, (self[1:],)) if self[0] else (Path.stationary, (self[1],))
 
     def __repr__(self):
         return f"Path(arrows={self.arrows!r}, vertex={self.vertex!r})"
+
+    @property
+    def length(self):
+        return self[0]
+
+    @property
+    def arrows(self):
+        return self[1:] if self[0] else ()
+
+    @property
+    def vertex(self):
+        return None if self[0] else self[1]
+
+    @property
+    def first_arrow(self):
+        return self[1] if self[0] else None
+
+    @property
+    def last_arrow(self):
+        return self[-1] if self[0] else None
+
+    @property
+    def is_stationary(self):
+        return not self[0]
 
     @staticmethod
     def stationary(vertex):
@@ -84,18 +107,13 @@ class Path(tuple):
     def of(arrows):
         return Path(arrows=arrows)
 
-    @property
-    def is_stationary(self):
-        return not self.arrows
-
     def contains(self, other):
         """True when `other` occurs as a contiguous subpath."""
         if other.is_stationary:
-            return self == other if self.is_stationary else False
-        n, m = len(self.arrows), len(other.arrows)
-        if m > n:
-            return False
-        return any(self.arrows[i:i + m] == other.arrows for i in range(n - m + 1))
+            return self == other
+        arrows, sub = self.arrows, other.arrows
+        m = len(sub)
+        return any(arrows[i:i + m] == sub for i in range(len(arrows) - m + 1))
 
     def __str__(self):
         if self.is_stationary:
@@ -134,10 +152,10 @@ class Quiver:
         return self.arrow_by_name[arrow_name].target
 
     def path_source(self, p):
-        return self.arrow_by_name[p.arrows[0]].source if p.arrows else p.vertex
+        return self.arrow_by_name[p[1]].source if p[0] else p[1]
 
     def path_target(self, p):
-        return self.arrow_by_name[p.arrows[-1]].target if p.arrows else p.vertex
+        return self.arrow_by_name[p[-1]].target if p[0] else p[1]
 
     def is_composable(self, arrows):
         """True when every name is an arrow and consecutive arrows match
@@ -483,18 +501,21 @@ def parse_quiver(text):
 
     Format: `vertex <id>`, `arrow <id> : <src> -> <tgt>`,
     `relation <arrowid> <arrowid> ...` (left-to-right composition),
-    with '#' starting a comment; see _name for the identifiers.
+    with '#' starting a comment; see _name for the identifiers.  The
+    declared vertices are kept in order and in a set, so each line is
+    checked in constant time.
     """
-    vertices, arrows, relations = [], {}, []
+    vertices, declared, arrows, relations = [], set(), {}, []
     for lineno, line in _lines(text):
         word, rest = _directive(line)
         if word == "vertex":
             if len(rest.split()) != 1:
                 raise QuiverFormatError("expected `vertex <id>`", lineno)
             name = _name(rest, "vertex", lineno)
-            if name in vertices:
+            if name in declared:
                 raise QuiverFormatError(f"duplicate vertex {name}", lineno)
             vertices.append(name)
+            declared.add(name)
         elif word == "arrow":
             m = _ARROW.fullmatch(rest)
             if not m:
@@ -502,9 +523,9 @@ def parse_quiver(text):
             name, src, tgt = m.groups()
             if _name(name, "arrow", lineno) in arrows:
                 raise QuiverFormatError(f"duplicate arrow {name}", lineno)
-            if src not in vertices:
+            if src not in declared:
                 raise QuiverFormatError(f"unknown source vertex {src}", lineno)
-            if tgt not in vertices:
+            if tgt not in declared:
                 raise QuiverFormatError(f"unknown target vertex {tgt}", lineno)
             arrows[name] = (name, src, tgt)
         elif word == "relation":

@@ -94,6 +94,7 @@ def test_criterion_2_two_cycle_golden_maps():
 def test_criterion_3_factorization_property_suite():
     start = time.monotonic()
     rng = random.Random(42)
+    checked = 0
     for _ in range(200):
         n = rng.randint(1, 5)
         m = PolyMatrix([[Poly([Fraction(rng.randint(-9, 9))
@@ -103,9 +104,15 @@ def test_criterion_3_factorization_property_suite():
         assert fact.U.is_unit_upper_at_zero()
         assert fact.V.is_unit_upper_at_zero()
         assert fact.product() == m
+        if n <= 4:
+            # verify keeps m as the product, so multiply out a fresh, unverified
+            # copy, as criterion 1 does; the 5x5 items would cost about 15 s more
+            checked += 1
+            assert SmithFactorization(fact.U, fact.D, fact.sigma, fact.V).product() == m
         det_m = m.determinant()
         det_d = fact.D.determinant()
         assert det_m == det_d or det_m == -det_d
+    assert checked == 153
     _finish(3, "200 random factorizations", start, 30.0)
 
 

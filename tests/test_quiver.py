@@ -11,10 +11,14 @@ import time
 import pytest
 
 from stringalg import Path, PathAlgebra, parse_element, parse_quiver
+from stringalg.decompose import INNER, decompose_general
 from stringalg.errors import QuiverFormatError
+from stringalg.maximal import component_of_path
+from stringalg.morphisms import inner_automorphism
 from stringalg.quiver import AlgebraPresentation, Quiver, RelationSet
 
-from conftest import FREE_LOOP, KRONECKER, ONE_LOOP, SOURCES, TWO_CYCLE_REL
+from conftest import (FREE_LOOP, KRONECKER, LOOP_X70, ONE_LOOP, SOURCES,
+                      TWO_CYCLE_REL)
 from test_validate_reference import random_relation_presentation
 
 
@@ -308,6 +312,57 @@ def test_path_routes_agree_on_equality_and_hash():
         for p in group:
             assert p == group[0] and hash(p) == hash(group[0]) and table[p] == "found", p
     assert len({p for group in groups for p in group}) == len(groups)
+
+
+# vertices named like arrows: e_a is (0, "a") and the arrow a is (1, "a"),
+# so code reading the key must look at the length before the second entry
+NAMED_LIKE_ARROWS = {
+    "loop_a_at_a": "vertex a\nvertex b\narrow a : a -> a\narrow b : a -> b\nrelation a b\n",
+    "cycle_ab_at_ba": "vertex a\nvertex b\narrow a : b -> a\narrow b : a -> b\n",
+}
+KEY_FIXTURES = {**SOURCES, "free_loop": FREE_LOOP, "loop_x70": LOOP_X70, **NAMED_LIKE_ARROWS}
+
+
+@pytest.mark.parametrize("source", list(KEY_FIXTURES.values()), ids=list(KEY_FIXTURES))
+def test_path_is_its_key(source):
+    """A path's only state is its key: it has no __dict__ and is as large as
+    the plain tuple, its views agree with the key, and pickling and copying
+    give back an equal Path."""
+    algebra = PathAlgebra(parse_quiver(source))
+    for p in algebra.enumerate_basis(4):
+        key = tuple(p)
+        assert not hasattr(p, "__dict__"), p
+        assert sys.getsizeof(p) == sys.getsizeof(key), p
+        if str(p).startswith("e_"):
+            vertex = str(p)[2:]
+            assert key == (0, vertex)
+            assert (p.length, p.arrows, p.vertex, p.is_stationary) == (0, (), vertex, True)
+            assert (p.first_arrow, p.last_arrow) == (None, None)
+        else:
+            arrows = tuple(str(p).split("."))
+            assert key == (len(arrows), *arrows)
+            assert (p.length, p.arrows, p.vertex, p.is_stationary) == (
+                len(arrows), arrows, None, False)
+            assert (p.first_arrow, p.last_arrow) == (arrows[0], arrows[-1])
+        for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert type(q) is Path and q == p and tuple(q) == key
+
+
+def test_stationary_path_at_a_vertex_named_like_an_arrow():
+    """e_a shares its second entry with the arrow a, yet has no first arrow,
+    x-degree 0 and no cycle block, and the intertwiner buckets keep it apart
+    from the paths starting with a."""
+    algebra = PathAlgebra(parse_quiver(NAMED_LIKE_ARROWS["loop_a_at_a"]))
+    e_a, aa = Path.stationary("a"), Path.of(("a", "a"))
+    assert e_a[1] == aa[1] == "a" and e_a.first_arrow is None
+    assert (algebra.x_degree(e_a), component_of_path(algebra, e_a)) == (0, None)
+    assert (algebra.x_degree(aa), component_of_path(algebra, aa)) == (2, 0)
+    algebra = PathAlgebra(parse_quiver(NAMED_LIKE_ARROWS["cycle_ab_at_ba"]))
+    for text in ("1 + 2*b.a.b", "1 + 1/2*a.b.a"):
+        f = inner_automorphism(algebra.parse_element(text))
+        dec = decompose_general(f)
+        assert str(dec.factor(INNER).unit.value) == text
+        assert dec.compose() == f
 
 
 def test_path_pickled_in_another_process_is_found():
